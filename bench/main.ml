@@ -49,18 +49,6 @@ let slug s =
     s;
   Buffer.contents b
 
-let json_escape b s =
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s
-
 let json_number v =
   if Float.is_integer v && Float.abs v < 1e15 then Printf.sprintf "%.0f" v
   else Printf.sprintf "%.10g" v
@@ -72,13 +60,13 @@ let write_metrics path =
     (fun i (experiment, name, value, unit_) ->
       let b = Buffer.create 96 in
       Buffer.add_string b "  {\"experiment\": \"";
-      json_escape b experiment;
+      Buffer.add_string b (Camo_util.Json.escape experiment);
       Buffer.add_string b "\", \"metric\": \"";
-      json_escape b name;
+      Buffer.add_string b (Camo_util.Json.escape name);
       Buffer.add_string b "\", \"value\": ";
       Buffer.add_string b (json_number value);
       Buffer.add_string b ", \"unit\": \"";
-      json_escape b unit_;
+      Buffer.add_string b (Camo_util.Json.escape unit_);
       Buffer.add_string b "\"}";
       if i > 0 then output_string oc ",\n";
       output_string oc (Buffer.contents b))
@@ -1189,13 +1177,6 @@ let sim () =
           ~name:("guest-mips-" ^ Cpu.tier_name tier ^ "-" ^ label)
           ~value:(mips_of tier) ~unit_:"mips")
       Cpu.all_tiers;
-    (* legacy spellings, kept so older metric consumers keep working *)
-    metric ~experiment:"sim"
-      ~name:("guest-mips-uncached-" ^ label)
-      ~value:(mips_of Cpu.Interp) ~unit_:"mips";
-    metric ~experiment:"sim"
-      ~name:("guest-mips-cached-" ^ label)
-      ~value:(mips_of Cpu.Icache) ~unit_:"mips";
     metric ~experiment:"sim" ~name:("icache-speedup-" ^ label)
       ~value:icache_speedup ~unit_:"ratio";
     metric ~experiment:"sim"

@@ -40,15 +40,6 @@ let cpus_arg =
   let doc = "Number of simulated cores to boot (1-16)." in
   Arg.(value & opt cpus_conv 1 & info [ "cpus" ] ~docv:"N" ~doc)
 
-let no_icache_arg =
-  let doc =
-    "Disable the simulator's decoded-instruction cache and micro-TLB. \
-     Host speed only: execution is bit-identical either way (same guest \
-     state, cycles, telemetry); this flag exists for differential checks \
-     and debugging."
-  in
-  Arg.(value & flag & info [ "no-icache" ] ~doc)
-
 let exec_tier_arg =
   let parse s =
     match Cpu.tier_of_string s with
@@ -63,21 +54,12 @@ let exec_tier_arg =
     "Execution tier: $(b,interp) (plain decode-and-dispatch), $(b,icache) \
      (decoded-instruction cache and micro-TLB; the default), or $(b,traces) \
      (superblock trace compilation on top of the icache). Host speed only: \
-     execution is bit-identical across tiers. Overrides the deprecated \
-     $(b,--no-icache)."
+     execution is bit-identical across tiers."
   in
   Arg.(value & opt (some tconv) None & info [ "exec-tier" ] ~docv:"TIER" ~doc)
 
-(* [--no-icache] is the deprecated spelling of [--exec-tier interp];
-   an explicit [--exec-tier] wins. *)
-let resolve_tier no_icache tier =
-  match tier with
-  | Some _ -> tier
-  | None -> if no_icache then Some Cpu.Interp else None
-
 let boot_cmd =
-  let run config seed cpus no_icache tier =
-    let tier = resolve_tier no_icache tier in
+  let run config seed cpus tier =
     let sys = K.System.boot ~config ~seed ~cpus ?tier () in
     Printf.printf "configuration : %s\n" (C.Config.name config);
     Printf.printf "exec tier     : %s\n"
@@ -114,9 +96,7 @@ let boot_cmd =
   in
   let doc = "Boot the protected kernel and print a system report." in
   Cmd.v (Cmd.info "boot" ~doc)
-    Term.(
-      const run $ config_arg $ seed_arg $ cpus_arg $ no_icache_arg
-      $ exec_tier_arg)
+    Term.(const run $ config_arg $ seed_arg $ cpus_arg $ exec_tier_arg)
 
 let attack_names = [ "rop"; "fops"; "replay"; "temporal"; "bruteforce"; "cred"; "cred-replay" ]
 
@@ -125,8 +105,8 @@ let attack_cmd =
     let doc = Printf.sprintf "Attack to run: %s." (String.concat ", " attack_names) in
     Arg.(required & pos 0 (some string) None & info [] ~docv:"ATTACK" ~doc)
   in
-  let run config seed cpus no_icache tier name =
-    let sys = K.System.boot ~config ~seed ~cpus ?tier:(resolve_tier no_icache tier) () in
+  let run config seed cpus tier name =
+    let sys = K.System.boot ~config ~seed ~cpus ?tier () in
     Printf.printf "kernel build: %s (%d cores)\n" (C.Config.name config) cpus;
     (match name with
     | "rop" -> Printf.printf "%s\n" (Attacks.Rop.outcome_to_string (Attacks.Rop.run sys))
@@ -159,8 +139,8 @@ let attack_cmd =
   let doc = "Run an attack scenario against the booted kernel." in
   Cmd.v (Cmd.info "attack" ~doc)
     Term.(
-      const run $ config_arg $ seed_arg $ cpus_arg $ no_icache_arg
-      $ exec_tier_arg $ attack_arg)
+      const run $ config_arg $ seed_arg $ cpus_arg $ exec_tier_arg
+      $ attack_arg)
 
 let census_cmd =
   let run seed =
@@ -195,8 +175,8 @@ let disasm_cmd =
   Cmd.v (Cmd.info "disasm" ~doc) Term.(const run $ config_arg)
 
 let integrity_cmd =
-  let run config seed no_icache tier =
-    let sys = K.System.boot ~config ~seed ?tier:(resolve_tier no_icache tier) () in
+  let run config seed tier =
+    let sys = K.System.boot ~config ~seed ?tier () in
     Printf.printf "syscall-table PACGA attestation: %s\n"
       (if K.System.verify_syscall_table sys then "OK" else "MISMATCH");
     (* tamper (bypassing stage 2, modeling a protection lapse) and recheck *)
@@ -207,7 +187,7 @@ let integrity_cmd =
   in
   let doc = "Demonstrate the PACGA kernel integrity monitor." in
   Cmd.v (Cmd.info "integrity" ~doc)
-    Term.(const run $ config_arg $ seed_arg $ no_icache_arg $ exec_tier_arg)
+    Term.(const run $ config_arg $ seed_arg $ exec_tier_arg)
 
 (* Boot with telemetry, run the SMP syscall workload, return the hub. *)
 let telemetry_run ?tier ~config ~seed ~cpus ~tasks ~rounds () =
@@ -245,8 +225,7 @@ let trace_cmd =
     let doc = "Print the telemetry event timeline as text instead of JSON." in
     Arg.(value & flag & info [ "text" ] ~doc)
   in
-  let run config seed cpus no_icache exec_tier chrome validate text =
-    let tier = resolve_tier no_icache exec_tier in
+  let run config seed cpus tier chrome validate text =
     match (chrome, validate, text) with
     | _, Some path, _ ->
         let ic = open_in_bin path in
@@ -300,8 +279,8 @@ let trace_cmd =
   in
   Cmd.v (Cmd.info "trace" ~doc)
     Term.(
-      const run $ config_arg $ seed_arg $ cpus_arg $ no_icache_arg
-      $ exec_tier_arg $ chrome_arg $ validate_arg $ text_arg)
+      const run $ config_arg $ seed_arg $ cpus_arg $ exec_tier_arg
+      $ chrome_arg $ validate_arg $ text_arg)
 
 let print_hist_table hists =
   Printf.printf "span latency (cycles, log-bucketed: values exact to 1/32)\n";
@@ -331,11 +310,10 @@ let stats_cmd =
     in
     Arg.(value & flag & info [ "hist" ] ~doc)
   in
-  let run config seed cpus no_icache tier json hist =
+  let run config seed cpus tier json hist =
     let cpus = max cpus 2 in
     let _, hub, stats =
-      telemetry_run ~config ~seed ~cpus ?tier:(resolve_tier no_icache tier)
-        ~tasks:8 ~rounds:20 ()
+      telemetry_run ~config ~seed ~cpus ?tier ~tasks:8 ~rounds:20 ()
     in
     let merged = Telemetry.Hub.counters hub in
     if json then
@@ -368,8 +346,8 @@ let stats_cmd =
   in
   Cmd.v (Cmd.info "stats" ~doc)
     Term.(
-      const run $ config_arg $ seed_arg $ cpus_arg $ no_icache_arg
-      $ exec_tier_arg $ json_arg $ hist_arg)
+      const run $ config_arg $ seed_arg $ cpus_arg $ exec_tier_arg
+      $ json_arg $ hist_arg)
 
 let lint_cmd =
   let json_arg =
@@ -605,9 +583,8 @@ let faults_cmd =
     in
     Arg.(value & opt (some string) None & info [ "hist-json" ] ~docv:"FILE" ~doc)
   in
-  let run config seed cpus no_icache tier trials json quarantine workers
+  let run config seed cpus tier trials json quarantine workers
       retries record_dir chrome lanes hist_json demo =
-    let tier = resolve_tier no_icache tier in
     if demo then print_string (Faultinj.Campaign.demo_to_string (Faultinj.Campaign.quarantine_demo ~seed ()))
     else begin
       (* the sequential path is just the fleet engine at --workers 1 *)
@@ -668,8 +645,8 @@ let faults_cmd =
   in
   Cmd.v (Cmd.info "faults" ~doc)
     Term.(
-      const run $ config_arg $ seed_arg $ cpus_arg $ no_icache_arg
-      $ exec_tier_arg $ trials_arg $ json_arg $ quarantine_arg $ workers_arg
+      const run $ config_arg $ seed_arg $ cpus_arg $ exec_tier_arg
+      $ trials_arg $ json_arg $ quarantine_arg $ workers_arg
       $ retries_arg $ record_arg $ chrome_arg $ lanes_arg $ hist_json_arg
       $ demo_arg)
 

@@ -16,12 +16,11 @@ val pa_of_va : int64 -> int64
 (** [machine ?seed ()] — a CPU at EL1 with code (rx), stack (rw) and
     data (rw) regions mapped, SP at {!stack_top}, all four enable bits
     set and random keys installed. [trace_depth] is forwarded to
-    {!Cpu.create}; [icache:false] disables the decoded-instruction
-    cache (bit-identical execution, host speed only). [tier] selects
-    the execution tier and overrides [icache]. *)
+    {!Cpu.create}; [tier] selects the execution tier (bit-identical
+    execution, host speed only). *)
 val machine :
-  ?seed:int64 -> ?cost:Cost.profile -> ?trace_depth:int -> ?icache:bool ->
-  ?tier:Cpu.tier -> unit -> Cpu.t
+  ?seed:int64 -> ?cost:Cost.profile -> ?trace_depth:int -> ?tier:Cpu.tier ->
+  unit -> Cpu.t
 
 (** [smp ?tier ()] — the same bring-up on a {!Machine} (boot core at
     EL1 with mappings, stack and keys; secondary cores, if any, are

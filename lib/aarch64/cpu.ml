@@ -109,13 +109,8 @@ let[@inline] is_zero64 v = Int64.to_int v = 0 && Int64.equal v 0L
 
 let create ?(cost = Cost.cortex_a53) ?(has_pauth = true) ?(user_cfg = Vaddr.linux_user)
     ?(kernel_cfg = Vaddr.linux_kernel) ?(cipher = Qarma.Block.create ()) ?mem ?mmu
-    ?icache ?(icache_enabled = true) ?tier ?(trace_depth = 32) ?(id = 0) () =
+    ?icache ?(tier = Icache) ?(trace_depth = 32) ?(id = 0) () =
   if trace_depth <= 0 then invalid_arg "Cpu.create: trace_depth";
-  let tier =
-    match tier with
-    | Some tr -> tr
-    | None -> if icache_enabled then Icache else Interp
-  in
   let mem = match mem with Some m -> m | None -> Mem.create () in
   let mmu = match mmu with Some m -> m | None -> Mmu.create () in
   let icache =

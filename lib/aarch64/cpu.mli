@@ -37,7 +37,7 @@ type hook_action = Exec | Skip
     this); the selector only trades host-side speed:
 
     - [Interp]: plain fetch/decode/execute, the decoded-instruction
-      cache disabled (the old [--no-icache] behavior);
+      cache disabled;
     - [Icache]: the PR 5 decoded-instruction cache + micro-TLB
       (the default);
     - [Traces]: hot straight-line regions additionally compile into
@@ -67,13 +67,12 @@ val all_tiers : tier list
     {!Machine} passes one instance to every core — entries depend only
     on (EL, VA page) and the shared tables, never on per-core state);
     without it a private cache is created over this core's memory and
-    MMU, enabled per [icache_enabled] (default [true]). The cache is a
-    host-speed optimization only: execution with it on or off is
-    bit-identical, including cycles and telemetry.
+    MMU, disabled on the [Interp] tier. The cache is a host-speed
+    optimization only: execution with it on or off is bit-identical,
+    including cycles and telemetry.
 
-    [tier] selects the execution tier; when omitted it is derived from
-    the legacy [icache_enabled] flag ([true] → [Icache], [false] →
-    [Interp]). A [Traces] core creates a private superblock trace cache
+    [tier] selects the execution tier (default [Icache]). A [Traces]
+    core creates a private superblock trace cache
     over its memory/MMU pair — traces are per-core (compiled blocks
     capture this core's register file), unlike the shared icache.
 
@@ -89,7 +88,6 @@ val create :
   ?mem:Mem.t ->
   ?mmu:Mmu.t ->
   ?icache:Icache.t ->
-  ?icache_enabled:bool ->
   ?tier:tier ->
   ?trace_depth:int ->
   ?id:int ->

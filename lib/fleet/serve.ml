@@ -1,4 +1,5 @@
 module C = Camouflage
+module Json = Camo_util.Json
 
 type job_state =
   | Running
@@ -36,21 +37,7 @@ let create () =
 
 (* --- response rendering: tiny, single-line, deterministic field order *)
 
-let escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let error fmt = Printf.ksprintf (fun m -> Printf.sprintf "{\"ok\": false, \"error\": \"%s\"}" (escape m)) fmt
+let error fmt = Printf.ksprintf (fun m -> Printf.sprintf "{\"ok\": false, \"error\": \"%s\"}" (Json.escape m)) fmt
 
 (* The report serializers are multi-line for humans; the protocol is
    line-oriented, so fold the newlines away — everything inside strings
@@ -65,9 +52,9 @@ let state_name = function
 
 (* --- request field helpers *)
 
-let str_field obj name = Option.bind (Jsonin.member name obj) Jsonin.to_string
-let int_field obj name = Option.bind (Jsonin.member name obj) Jsonin.to_int
-let int64_field obj name = Option.bind (Jsonin.member name obj) Jsonin.to_int64
+let str_field obj name = Option.bind (Json.member name obj) Json.to_string
+let int_field obj name = Option.bind (Json.member name obj) Json.to_int
+let int64_field obj name = Option.bind (Json.member name obj) Json.to_int64
 let dflt d = Option.value ~default:d
 
 let config_of_name = function
@@ -83,7 +70,7 @@ let failures_json fs =
       (List.map
          (fun f ->
            Printf.sprintf "{\"job\": %d, \"attempts\": %d, \"error\": \"%s\"}"
-             f.Pool.job f.Pool.attempts (escape f.Pool.error))
+             f.Pool.job f.Pool.attempts (Json.escape f.Pool.error))
          fs)
   ^ "]"
 
@@ -290,7 +277,7 @@ let status_response e =
   let state = Atomic.get e.e_state in
   let extra =
     match state with
-    | Failed m -> Printf.sprintf ", \"error\": \"%s\"" (escape m)
+    | Failed m -> Printf.sprintf ", \"error\": \"%s\"" (Json.escape m)
     | _ -> ""
   in
   Printf.sprintf
@@ -390,7 +377,7 @@ let shutdown t =
 let handle t line =
   let continue = ref true in
   let response =
-    match Jsonin.parse line with
+    match Json.parse line with
     | Result.Error msg -> error "parse error: %s" msg
     | Result.Ok obj -> (
         try

@@ -58,12 +58,10 @@ type t
     (published via their TPIDR_EL1) and an idle task; with [cpus = 1]
     nothing observable changes.
 
-    [icache] (default [true]) enables the machine-wide
-    decoded-instruction cache. Disabling it ([--no-icache] at the CLI)
-    changes host speed only: execution is bit-identical either way.
-    [tier] selects the execution tier explicitly ([--exec-tier] at the
-    CLI) and overrides [icache]; [Cpu.Traces] adds per-core superblock
-    trace compilation on top of the shared icache. *)
+    [tier] selects the execution tier ([--exec-tier] at the CLI;
+    default [Cpu.Icache]); [Cpu.Traces] adds per-core superblock trace
+    compilation on top of the shared icache. Host speed only: execution
+    is bit-identical on every tier. *)
 val boot :
   ?config:Camouflage.Config.t ->
   ?seed:int64 ->
@@ -71,7 +69,6 @@ val boot :
   ?cost:Cost.profile ->
   ?cpus:int ->
   ?telemetry:bool ->
-  ?icache:bool ->
   ?tier:Aarch64.Cpu.tier ->
   unit ->
   t
@@ -254,7 +251,8 @@ val restore_user_keys : t -> unit
 val kernel_uses_pauth : t -> bool
 
 (** [console_output t] — everything written to file descriptors 1 and 2
-    (the console device) so far, in order. *)
+    (the console device) so far, in order, at most 8192 bytes; a
+    corrupted (negative) head word reads as [""]. *)
 val console_output : t -> string
 
 (** [verify_syscall_table t] — re-measure the chained PACGA MAC of the

@@ -209,7 +209,7 @@ let call_to_json c =
 let fn_to_json f =
   Printf.sprintf {|{"entry":"0x%Lx","name":%s,"insns":%d,"calls":[%s]}|} f.entry
     (match f.name with
-    | Some n -> Printf.sprintf {|"%s"|} (Diag.json_escape n)
+    | Some n -> Printf.sprintf {|"%s"|} (Camo_util.Json.escape n)
     | None -> "null")
     (f.hi - f.lo)
     (String.concat "," (List.map call_to_json f.calls))

@@ -259,14 +259,14 @@ let site_to_json s =
     {|{"va":"0x%Lx","fn":"0x%Lx","fn_name":%s,"key":"%s","dir":"%s","class":"%s"}|}
     s.va s.fn
     (match s.fn_name with
-    | Some n -> Printf.sprintf {|"%s"|} (Diag.json_escape n)
+    | Some n -> Printf.sprintf {|"%s"|} (Camo_util.Json.escape n)
     | None -> "null")
-    (Diag.key_name s.skey) (dir_name s.dir) (Diag.json_escape s.cls)
+    (Diag.key_name s.skey) (dir_name s.dir) (Camo_util.Json.escape s.cls)
 
 let cls_to_json c =
   Printf.sprintf
     {|{"key":"%s","class":"%s","dynamism":"%s","sign_sites":%d,"auth_sites":%d,"functions":%d,"gadget_pairs":%d,"dynamic_bits":%d,"forgery_p":%.6g}|}
-    (Diag.key_name c.ckey) (Diag.json_escape c.cls)
+    (Diag.key_name c.ckey) (Camo_util.Json.escape c.cls)
     (Diag.dynamism_name c.dynamism)
     c.sign_sites c.auth_sites c.fn_count c.pairs c.dynamic_bits
     (forgery_probability c)

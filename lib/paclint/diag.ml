@@ -1,4 +1,5 @@
 open Aarch64
+module Json = Camo_util.Json
 
 type severity = Info | Warning | Error
 
@@ -161,28 +162,14 @@ let normalize ds =
   in
   dedup sorted
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let to_json d =
   Printf.sprintf
     {|{"va":"0x%Lx","severity":"%s","kind":"%s","insn":"%s","message":"%s","hint":"%s"}|}
     d.va
     (severity_name (severity d))
     (kind_name d.kind)
-    (json_escape (Insn.to_string d.insn))
-    (json_escape (message d))
-    (json_escape (hint d))
+    (Json.escape (Insn.to_string d.insn))
+    (Json.escape (message d))
+    (Json.escape (hint d))
 
 let list_to_json ds = "[" ^ String.concat "," (List.map to_json (normalize ds)) ^ "]"

@@ -364,7 +364,7 @@ let summary_to_json (s : fn_summary) =
     {|{"entry":"0x%Lx","name":%s,"returns":%b,"sp_net":%s,"writes":[%s],"signed_in":%s,"signed_out":%s,"reserved_clobbered":[%s]}|}
     s.entry
     (match s.name with
-    | Some n -> Printf.sprintf {|"%s"|} (Diag.json_escape n)
+    | Some n -> Printf.sprintf {|"%s"|} (Camo_util.Json.escape n)
     | None -> "null")
     (s.exit <> None)
     (match s.sp_net with Some d -> string_of_int d | None -> "null")

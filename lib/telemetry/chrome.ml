@@ -1,3 +1,5 @@
+module Json = Camo_util.Json
+
 (* Track layout: pid 0 = per-core tracks (tid = core id), pid 1 =
    per-task tracks (tid = task pid). [serialize_lanes] instead gives
    every lane (a fleet trial) its own process, one thread per core. *)
@@ -261,52 +263,32 @@ let text ?limit hub =
 let validate text =
   let ( let* ) = Result.bind in
   let* doc = Json.parse_located text in
+  let at pos = Json.position text pos in
   let* events =
     match Json.lmember "traceEvents" doc with
     | Some { Json.v = Json.LList evs; _ } -> Ok evs
     | Some { Json.pos; _ } ->
-        Error
-          (Printf.sprintf "traceEvents is not an array at %s"
-             (Json.position text pos))
+        Error (Printf.sprintf "traceEvents is not an array at %s" (at pos))
     | None -> Error "missing traceEvents"
   in
-  let at pos = Json.position text pos in
   let last : (int * int, int64) Hashtbl.t = Hashtbl.create 16 in
   let check i (ev : Json.located) =
-    let field name =
+    let typed name what conv =
       match Json.lmember name ev with
-      | Some v -> Ok v
       | None ->
           Error
             (Printf.sprintf "event %d: missing %s at %s" i name (at ev.Json.pos))
+      | Some { Json.v; pos } -> (
+          match (match v with Json.Leaf x -> conv x | _ -> None) with
+          | Some x -> Ok (x, pos)
+          | None ->
+              Error
+                (Printf.sprintf "event %d: %s is not a %s at %s" i name what
+                   (at pos)))
     in
-    let* name = field "name" in
-    let* () =
-      match name.Json.v with
-      | Json.LStr _ -> Ok ()
-      | _ ->
-          Error
-            (Printf.sprintf "event %d: name is not a string at %s" i
-               (at name.Json.pos))
-    in
-    let* ph = field "ph" in
-    let* ph =
-      match ph.Json.v with
-      | Json.LStr s -> Ok s
-      | _ ->
-          Error
-            (Printf.sprintf "event %d: ph is not a string at %s" i
-               (at ph.Json.pos))
-    in
-    let num name =
-      let* v = field name in
-      match v.Json.v with
-      | Json.LNum f -> Ok (f, v.Json.pos)
-      | _ ->
-          Error
-            (Printf.sprintf "event %d: %s is not a number at %s" i name
-               (at v.Json.pos))
-    in
+    let* _ = typed "name" "string" Json.to_string in
+    let* ph, _ = typed "ph" "string" Json.to_string in
+    let num name = typed name "number" Json.to_float in
     let* pid, _ = num "pid" in
     let* tid, _ = num "tid" in
     if ph = "M" then Ok ()

@@ -7,9 +7,51 @@ type t =
   | List of t list
   | Obj of (string * t) list
 
+type located = { v : node; pos : int }
+
+and node = Leaf of t | LList of located list | LObj of (string * located) list
+
+let escape s =
+  let b = Buffer.create (String.length s + 8) in
+  String.iter
+    (fun c ->
+      match c with
+      | '"' -> Buffer.add_string b "\\\""
+      | '\\' -> Buffer.add_string b "\\\\"
+      | '\n' -> Buffer.add_string b "\\n"
+      | '\t' -> Buffer.add_string b "\\t"
+      | '\r' -> Buffer.add_string b "\\r"
+      | c when Char.code c < 0x20 ->
+          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
+      | c -> Buffer.add_char b c)
+    s;
+  Buffer.contents b
+
+(* Translate a byte offset into 1-based line/column for error messages:
+   multi-line request bodies and log files get a usable position, not
+   just a flat byte count. *)
+let line_col s pos =
+  let pos = max 0 (min pos (String.length s)) in
+  let line = ref 1 and bol = ref 0 in
+  for i = 0 to pos - 1 do
+    if s.[i] = '\n' then begin
+      incr line;
+      bol := i + 1
+    end
+  done;
+  (!line, pos - !bol + 1)
+
+let position s pos =
+  let line, col = line_col s pos in
+  Printf.sprintf "line %d, column %d (offset %d)" line col pos
+
 exception Error of string * int
 
 let fail pos msg = raise (Error (msg, pos))
+
+(* Deeper documents are refused rather than risking the stack: every
+   surface this reads nests a handful of levels. *)
+let max_depth = 512
 
 type state = { s : string; mutable pos : int }
 
@@ -41,8 +83,6 @@ let literal st word value =
   end
   else fail st.pos (Printf.sprintf "expected %s" word)
 
-(* \uXXXX escapes are decoded to UTF-8; surrogate pairs are combined
-   when both halves are present. *)
 let add_codepoint buf cp =
   if cp < 0x80 then Buffer.add_char buf (Char.chr cp)
   else if cp < 0x800 then begin
@@ -78,6 +118,24 @@ let hex4 st =
   done;
   !v
 
+(* A high surrogate must be followed by its low half; the pair becomes
+   one code point. *)
+let codepoint st =
+  let cp = hex4 st in
+  if cp < 0xd800 || cp > 0xdbff then cp
+  else if
+    st.pos + 1 < String.length st.s
+    && st.s.[st.pos] = '\\'
+    && st.s.[st.pos + 1] = 'u'
+  then begin
+    st.pos <- st.pos + 2;
+    let lo = hex4 st in
+    if lo >= 0xdc00 && lo <= 0xdfff then
+      0x10000 + ((cp - 0xd800) lsl 10) + (lo - 0xdc00)
+    else fail st.pos "unpaired surrogate"
+  end
+  else fail st.pos "unpaired surrogate"
+
 let parse_string st =
   expect st '"';
   let buf = Buffer.create 16 in
@@ -100,26 +158,7 @@ let parse_string st =
             | 'r' -> Buffer.add_char buf '\r'
             | 'b' -> Buffer.add_char buf '\b'
             | 'f' -> Buffer.add_char buf '\012'
-            | 'u' ->
-                let cp = hex4 st in
-                let cp =
-                  if cp >= 0xd800 && cp <= 0xdbff then
-                    (* high surrogate: look for the low half *)
-                    if
-                      st.pos + 1 < String.length st.s
-                      && st.s.[st.pos] = '\\'
-                      && st.s.[st.pos + 1] = 'u'
-                    then begin
-                      st.pos <- st.pos + 2;
-                      let lo = hex4 st in
-                      if lo >= 0xdc00 && lo <= 0xdfff then
-                        0x10000 + ((cp - 0xd800) lsl 10) + (lo - 0xdc00)
-                      else fail st.pos "unpaired surrogate"
-                    end
-                    else fail st.pos "unpaired surrogate"
-                  else cp
-                in
-                add_codepoint buf cp
+            | 'u' -> add_codepoint buf (codepoint st)
             | _ -> fail (st.pos - 1) "unknown escape");
             go ())
     | Some c ->
@@ -133,135 +172,114 @@ let parse_string st =
 
 let parse_number st =
   let start = st.pos in
-  let consume p =
-    while match peek st with Some c when p c -> true | _ -> false do
+  let digits () =
+    while match peek st with Some '0' .. '9' -> true | _ -> false do
       advance st
     done
   in
   if peek st = Some '-' then advance st;
-  consume (function '0' .. '9' -> true | _ -> false);
+  digits ();
   let is_float = ref false in
   if peek st = Some '.' then begin
     is_float := true;
     advance st;
-    consume (function '0' .. '9' -> true | _ -> false)
+    digits ()
   end;
   (match peek st with
   | Some ('e' | 'E') ->
       is_float := true;
       advance st;
       (match peek st with Some ('+' | '-') -> advance st | _ -> ());
-      consume (function '0' .. '9' -> true | _ -> false)
+      digits ()
   | _ -> ());
   let text = String.sub st.s start (st.pos - start) in
   if text = "" || text = "-" then fail start "expected a number";
-  if !is_float then
+  let as_float () =
     match float_of_string_opt text with
     | Some f -> Float f
     | None -> fail start "bad number"
+  in
+  if !is_float then as_float ()
   else
-    match Int64.of_string_opt text with
-    | Some i -> Int i
-    | None -> (
-        (* out of int64 range: fall back to float *)
-        match float_of_string_opt text with
-        | Some f -> Float f
-        | None -> fail start "bad number")
+    (* out of int64 range: fall back to float *)
+    match Int64.of_string_opt text with Some i -> Int i | None -> as_float ()
 
-let rec parse_value st =
+(* [close] ends a comma-separated sequence of [item]s, the opening
+   bracket already consumed. *)
+let sequence st close item =
   skip_ws st;
-  match peek st with
-  | None -> fail st.pos "unexpected end of input"
-  | Some '{' ->
-      advance st;
+  if peek st = Some close then begin
+    advance st;
+    []
+  end
+  else
+    let rec go acc =
+      let acc = item () :: acc in
       skip_ws st;
-      if peek st = Some '}' then begin
+      match peek st with
+      | Some ',' ->
+          advance st;
+          go acc
+      | Some c when c = close ->
+          advance st;
+          List.rev acc
+      | _ -> fail st.pos (Printf.sprintf "expected ',' or '%c'" close)
+    in
+    go []
+
+let rec parse_value st depth =
+  skip_ws st;
+  let pos = st.pos in
+  if depth > max_depth then fail pos "nesting too deep";
+  let v =
+    match peek st with
+    | None -> fail pos "unexpected end of input"
+    | Some '{' ->
         advance st;
-        Obj []
-      end
-      else begin
-        let fields = ref [] in
-        let rec members () =
-          skip_ws st;
-          let key = parse_string st in
-          skip_ws st;
-          expect st ':';
-          let v = parse_value st in
-          fields := (key, v) :: !fields;
-          skip_ws st;
-          match peek st with
-          | Some ',' ->
-              advance st;
-              members ()
-          | Some '}' -> advance st
-          | _ -> fail st.pos "expected ',' or '}'"
-        in
-        members ();
-        Obj (List.rev !fields)
-      end
-  | Some '[' ->
-      advance st;
-      skip_ws st;
-      if peek st = Some ']' then begin
+        LObj
+          (sequence st '}' (fun () ->
+               skip_ws st;
+               let key = parse_string st in
+               skip_ws st;
+               expect st ':';
+               (key, parse_value st (depth + 1))))
+    | Some '[' ->
         advance st;
-        List []
-      end
-      else begin
-        let items = ref [] in
-        let rec elements () =
-          let v = parse_value st in
-          items := v :: !items;
-          skip_ws st;
-          match peek st with
-          | Some ',' ->
-              advance st;
-              elements ()
-          | Some ']' -> advance st
-          | _ -> fail st.pos "expected ',' or ']'"
-        in
-        elements ();
-        List (List.rev !items)
-      end
-  | Some '"' -> Str (parse_string st)
-  | Some 't' -> literal st "true" (Bool true)
-  | Some 'f' -> literal st "false" (Bool false)
-  | Some 'n' -> literal st "null" Null
-  | Some ('-' | '0' .. '9') -> parse_number st
-  | Some c -> fail st.pos (Printf.sprintf "unexpected character %C" c)
+        LList (sequence st ']' (fun () -> parse_value st (depth + 1)))
+    | Some '"' -> Leaf (Str (parse_string st))
+    | Some 't' -> Leaf (literal st "true" (Bool true))
+    | Some 'f' -> Leaf (literal st "false" (Bool false))
+    | Some 'n' -> Leaf (literal st "null" Null)
+    | Some ('-' | '0' .. '9') -> Leaf (parse_number st)
+    | Some c -> fail pos (Printf.sprintf "unexpected character %C" c)
+  in
+  { v; pos }
 
-(* Translate a byte offset into 1-based line/column for error messages:
-   multi-line request bodies and log files get a usable position, not
-   just a flat byte count. *)
-let line_col s pos =
-  let pos = min pos (String.length s) in
-  let line = ref 1 and bol = ref 0 in
-  for i = 0 to pos - 1 do
-    if s.[i] = '\n' then begin
-      incr line;
-      bol := i + 1
-    end
-  done;
-  (!line, pos - !bol + 1)
-
-let position s pos =
-  let line, col = line_col s pos in
-  Printf.sprintf "line %d, column %d (offset %d)" line col pos
-
-let parse s =
+let parse_located s =
   let st = { s; pos = 0 } in
-  match parse_value st with
+  match parse_value st 0 with
   | v ->
       skip_ws st;
       if st.pos <> String.length s then
-        Result.Error
-          (Printf.sprintf "trailing garbage at %s" (position s st.pos))
+        Result.Error (Printf.sprintf "trailing garbage at %s" (position s st.pos))
       else Result.Ok v
   | exception Error (msg, pos) ->
       Result.Error (Printf.sprintf "%s at %s" msg (position s pos))
 
+let rec strip { v; _ } =
+  match v with
+  | Leaf x -> x
+  | LList l -> List (List.map strip l)
+  | LObj kvs -> Obj (List.map (fun (k, v) -> (k, strip v)) kvs)
+
+let parse s = Result.map strip (parse_located s)
+
 let member name = function
   | Obj fields -> List.assoc_opt name fields
   | _ -> None
+
+let lmember name { v; _ } =
+  match v with LObj fields -> List.assoc_opt name fields | _ -> None
 
 let to_int64 = function
   | Int i -> Some i

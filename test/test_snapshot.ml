@@ -10,6 +10,7 @@ module C = Camouflage
 module K = Kernel
 module FC = Faultinj.Campaign
 module L = Snapshot.Log
+module Json = Camo_util.Json
 
 (* --- Mem: the copy-on-write unit ---------------------------------- *)
 
@@ -87,6 +88,18 @@ let test_fingerprint_ignores_zero_frames () =
     (Snapshot.Fingerprint.of_system sys <> before);
   Mem.write64 mem 0x7000_0000L 0L;
   Alcotest.(check string) "zeroed frame = absent frame" before
+    (Snapshot.Fingerprint.of_system sys)
+
+(* A fault can corrupt the console head word. A negative head must read
+   as an empty console rather than reach [Bytes.create], which would
+   take every fingerprint of that system down with it. *)
+let test_negative_console_head () =
+  let sys, _ = boot_workload ~cpus:1 ~tasks:1 ~seed:5L in
+  K.Kmem.write64 (K.System.cpu sys) (K.System.kernel_symbol sys "console_state") (-5L);
+  Alcotest.(check string) "negative head reads as empty" ""
+    (K.System.console_output sys);
+  let fp = Snapshot.Fingerprint.of_system sys in
+  Alcotest.(check string) "fingerprint is computed, and stable" fp
     (Snapshot.Fingerprint.of_system sys)
 
 let test_fingerprint_distinguishes_seeds () =
@@ -278,24 +291,24 @@ let contains sub s =
   n = 0 || go 0
 
 let test_jsonin_error_positions () =
-  let e = fail_of (Snapshot.Json.parse "{\n  \"a\": 1,\n  oops}") in
+  let e = fail_of (Json.parse "{\n  \"a\": 1,\n  oops}") in
   Alcotest.(check bool)
     (Printf.sprintf "parse error names line 3 (%s)" e)
     true
     (contains "line 3" e);
-  let e = fail_of (Snapshot.Json.parse "{\"a\": 1} junk") in
+  let e = fail_of (Json.parse "{\"a\": 1} junk") in
   Alcotest.(check bool)
     (Printf.sprintf "trailing garbage names its position (%s)" e)
     true
     (contains "trailing garbage" e && contains "line 1, column 10" e);
-  let e = fail_of (Fleet.Jsonin.parse "[1, 2\n 3]") in
+  let e = fail_of (Json.parse "[1, 2\n 3]") in
   Alcotest.(check bool)
-    (Printf.sprintf "fleet alias reports positions too (%s)" e)
+    (Printf.sprintf "a multi-line array reports its line (%s)" e)
     true (contains "line 2" e);
   Alcotest.(check (pair int int)) "line_col is 1-based" (1, 1)
-    (Snapshot.Json.line_col "x" 0);
+    (Json.line_col "x" 0);
   Alcotest.(check (pair int int)) "line_col crosses newlines" (2, 2)
-    (Snapshot.Json.line_col "ab\ncd" 4)
+    (Json.line_col "ab\ncd" 4)
 
 let suite =
   [
@@ -321,4 +334,6 @@ let suite =
       test_campaign_failed_job_isolated;
     Alcotest.test_case "jsonin errors carry line and column" `Quick
       test_jsonin_error_positions;
+    Alcotest.test_case "negative console head reads as empty" `Quick
+      test_negative_console_head;
   ]

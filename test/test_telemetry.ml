@@ -8,6 +8,7 @@ open Aarch64
 module C = Camouflage
 module K = Kernel
 module T = Telemetry
+module Json = Camo_util.Json
 
 let user_entry sys ~rounds =
   let layout =
@@ -282,10 +283,10 @@ let test_chrome_serialization_validates () =
   (match T.Chrome.validate doc with
   | Ok () -> ()
   | Error e -> Alcotest.failf "serialized trace rejected: %s" e);
-  (match T.Json.parse doc with
-  | Ok (T.Json.Obj kvs) -> (
+  (match Json.parse doc with
+  | Ok (Json.Obj kvs) -> (
       match List.assoc_opt "traceEvents" kvs with
-      | Some (T.Json.List evs) ->
+      | Some (Json.List evs) ->
           Alcotest.(check bool) "trace has events" true (List.length evs > 50)
       | _ -> Alcotest.fail "no traceEvents array")
   | Ok _ -> Alcotest.fail "top level is not an object"
@@ -488,7 +489,7 @@ let test_hist_empty_edges () =
   T.Hist.record h 1_000_000_000_000L;
   Alcotest.(check int64) "huge values keep an exact max" 1_000_000_000_000L
     (T.Hist.max_value h);
-  match T.Json.parse (T.Hist.to_json h) with
+  match Json.parse (T.Hist.to_json h) with
   | Ok _ -> ()
   | Error e -> Alcotest.failf "to_json unparsable: %s" e
 
@@ -575,15 +576,15 @@ let test_chrome_has_duration_events () =
   (match T.Chrome.validate doc with
   | Ok () -> ()
   | Error e -> Alcotest.failf "trace with X events rejected: %s" e);
-  match T.Json.parse doc with
-  | Ok (T.Json.Obj kvs) -> (
+  match Json.parse doc with
+  | Ok (Json.Obj kvs) -> (
       match List.assoc_opt "traceEvents" kvs with
-      | Some (T.Json.List evs) ->
+      | Some (Json.List evs) ->
           let durations =
             List.filter
               (fun e ->
-                match T.Json.member "ph" e with
-                | Some (T.Json.Str "X") -> true
+                match Json.member "ph" e with
+                | Some (Json.Str "X") -> true
                 | _ -> false)
               evs
           in
@@ -591,9 +592,8 @@ let test_chrome_has_duration_events () =
             (List.length durations > 0);
           List.iter
             (fun e ->
-              match T.Json.member "dur" e with
-              | Some (T.Json.Num d) ->
-                  Alcotest.(check bool) "dur >= 0" true (d >= 0.0)
+              match Option.bind (Json.member "dur" e) Json.to_float with
+              | Some d -> Alcotest.(check bool) "dur >= 0" true (d >= 0.0)
               | _ -> Alcotest.fail "X event without dur")
             durations
       | _ -> Alcotest.fail "no traceEvents array")
@@ -625,7 +625,7 @@ let test_chrome_validate_positions () =
     {|{"traceEvents": [{"name":"a","ph":"i","ts":5,"pid":0,"tid":0,"s":"t"},
                        {"name":"b","ph":"i","ts":4,"pid":0,"tid":0,"s":"t"}]}|}
     "non-monotone ts" "before";
-  match T.Json.parse_located "{\"a\": tru}" with
+  match Json.parse_located "{\"a\": tru}" with
   | Ok _ -> Alcotest.fail "parser accepted a bad literal"
   | Error e ->
       Alcotest.(check bool) "parse error carries line/column" true
