@@ -10,10 +10,10 @@
      main.exe parallel   Domain-parallel wall-clock scaling
      main.exe bechamel   run the Bechamel wall-time suite
 
-   Any invocation additionally accepts [--json FILE] (alias
-   [--metrics-json FILE]): every deterministic number the selected
-   experiments print is also written to FILE as an array of
-   {"experiment", "metric", "value", "unit"} rows. *)
+   Any invocation additionally accepts [--json FILE]: every
+   deterministic number the selected experiments print is also written
+   to FILE as an array of {"experiment", "metric", "value", "unit"}
+   rows. An unknown experiment name exits 2 before anything runs. *)
 
 open Aarch64
 module C = Camouflage
@@ -1240,30 +1240,36 @@ let experiments =
 
 let () =
   let args = List.tl (Array.to_list Sys.argv) in
-  (* peel off --json FILE (alias --metrics-json FILE) anywhere in the
-     argument list; the remaining words select experiments as before *)
+  (* peel off --json FILE anywhere in the argument list; the remaining
+     words select experiments *)
   let rec split_json names = function
-    | ("--json" | "--metrics-json") :: path :: rest ->
+    | "--json" :: path :: rest ->
         let names', _ = split_json names rest in
         (names', Some path)
-    | ("--json" | "--metrics-json") :: [] ->
+    | "--json" :: [] ->
         Printf.eprintf "--json needs a file argument\n";
         exit 2
     | arg :: rest -> split_json (arg :: names) rest
     | [] -> (List.rev names, None)
   in
   let names, json_path = split_json [] args in
-  (match names with
+  let lookup name =
+    if name = "bechamel" then Some bechamel_suite
+    else List.assoc_opt (String.lowercase_ascii name) experiments
+  in
+  let runs =
+    List.map
+      (fun name ->
+        match lookup name with
+        | Some f -> f
+        | None ->
+            Printf.eprintf "unknown experiment %s\n" name;
+            exit 2)
+      names
+  in
+  (match runs with
   | [] ->
       List.iter (fun (_, f) -> f ()) experiments;
       bechamel_suite ()
-  | [ "bechamel" ] -> bechamel_suite ()
-  | names ->
-      List.iter
-        (fun name ->
-          match List.assoc_opt (String.lowercase_ascii name) experiments with
-          | Some f -> f ()
-          | None when name = "bechamel" -> bechamel_suite ()
-          | None -> Printf.eprintf "unknown experiment %s\n" name)
-        names);
+  | runs -> List.iter (fun f -> f ()) runs);
   match json_path with None -> () | Some path -> write_metrics path

@@ -83,8 +83,6 @@ type t = {
   (* telemetry endpoint; None (the default) must leave execution
      bit-identical to a build without telemetry *)
   mutable sink : Telemetry.Sink.t option;
-  (* whether the last [run] took the hook-free fast loop *)
-  mutable last_run_fast : bool;
   (* which tier the last [run] actually executed under: a hooked or
      telemetry-observed run on a traces-tier core drops to the icache
      path, and tests want to assert that *)
@@ -152,7 +150,6 @@ let create ?(cost = Cost.cortex_a53) ?(has_pauth = true) ?(user_cfg = Vaddr.linu
     id;
     step_hook = None;
     sink = None;
-    last_run_fast = false;
     last_run_tier = tier;
   }
 
@@ -385,9 +382,10 @@ exception Stop of stop
    which the micro-TLB does not change: it bumps once per translation
    request whether the result comes from the cache or the tables,
    keeping telemetry bit-identical across cache configurations.
-   [Icache.Translate_fault] propagates to the step loops, which convert
-   it to a [Stop] with the current PC (unchanged until retirement
-   bookkeeping is done, so the faulting PC is exact). *)
+   [Icache.Translate_fault] propagates to the run loop's handler,
+   [stop_of_exn], which turns it into a fault stop at the current PC
+   (unchanged until the instruction completes, so the faulting PC is
+   exact). *)
 let[@inline] count_walk t =
   match t.sink with
   | Some s -> Telemetry.Counters.count_mmu_walk (Telemetry.Sink.counters s)
@@ -570,23 +568,10 @@ let execute t insn ~next =
       t.pc <- next;
       raise (Stop (Hlt imm))
 
-(* Fetch one instruction through the decoded-instruction cache,
-   mapping cache-level errors to machine stops. The instruction-side
-   walk counter bumps once per fetch regardless of a hit or miss. *)
-let fetch t =
-  (match t.sink with
-  | Some s -> Telemetry.Counters.count_mmu_walk (Telemetry.Sink.counters s)
-  | None -> ());
-  match Icache.fetch t.icache ~el:t.el t.pc with
-  | Ok insn -> Ok insn
-  | Error (Icache.Fetch_fault f) -> Error (Fault { fault = Mmu_fault f; pc = t.pc })
-  | Error (Icache.Fetch_undefined word) ->
-      Error (Fault { fault = Undefined_instruction word; pc = t.pc })
-
-(* Retirement bookkeeping common to both step paths. Allocation-free:
-   the trace ring keeps pc and insn in parallel arrays, and the number
-   of valid entries is [min insns_retired depth] since every retire
-   writes one. *)
+(* Retirement bookkeeping common to every step and compiled op.
+   Allocation-free: the trace ring keeps pc and insn in parallel
+   arrays, and the number of valid entries is [min insns_retired depth]
+   since every retire writes one. *)
 let retire t insn cost =
   t.cycles <- t.cycles + cost;
   t.insns_retired <- t.insns_retired + 1;
@@ -598,40 +583,42 @@ let retire t insn cost =
   let p = t.trace_pos + 1 in
   t.trace_pos <- (if p = Array.length t.trace_insn then 0 else p)
 
-let step t =
-  if is_sentinel t.pc then Some Sentinel_return
-  else begin
-    match fetch t with
-    | Error s -> Some s
-    | Ok insn -> (
-        let action =
-          match t.step_hook with
-          | None -> Exec
-          | Some h -> h t ~pc:t.pc insn
-        in
-        let cost = cost_of t insn in
-        retire t insn cost;
-        (match t.sink with
-        | None -> ()
-        | Some s ->
-            Telemetry.Sink.retire s ~pc:t.pc ~cls:(class_of_insn insn)
-              ~origin:(origin_of_insn insn) ~cycles:cost);
-        let next = Int64.add t.pc 4L in
-        match action with
-        | Skip ->
-            (* the instruction issues (is fetched, charged and traced)
-               but its effects are suppressed: the PC just advances *)
-            t.pc <- next;
-            None
-        | Exec -> (
-            try
-              execute t insn ~next;
-              None
-            with
-            | Stop s -> Some s
-            | Icache.Translate_fault f ->
-                Some (Fault { fault = Mmu_fault f; pc = t.pc })))
-  end
+(* The one step body, shared by every stepped path (interp, icache, a
+   hooked or observed traces core, and the traces tier's cold/cut
+   steps). The instruction-side walk counter bumps once per fetch,
+   hit or miss. The hook runs before the cost is taken: it may rewrite
+   the key-enable bits [cost_of] reads. On [Skip] the instruction
+   issues (is fetched, charged and traced) but its effects are
+   suppressed: only the PC advances. Fetch and execute failures
+   propagate as exceptions to the caller's single handler,
+   [stop_of_exn]. Returns the retired instruction. *)
+let[@inline] step_insn t =
+  count_walk t;
+  let insn = Icache.fetch_exn t.icache ~el:t.el t.pc in
+  let action =
+    match t.step_hook with None -> Exec | Some h -> h t ~pc:t.pc insn
+  in
+  let cost = cost_of t insn in
+  retire t insn cost;
+  (match t.sink with
+  | None -> ()
+  | Some s ->
+      Telemetry.Sink.retire s ~pc:t.pc ~cls:(class_of_insn insn)
+        ~origin:(origin_of_insn insn) ~cycles:cost);
+  let next = Int64.add t.pc 4L in
+  (match action with Exec -> execute t insn ~next | Skip -> t.pc <- next);
+  insn
+
+(* The machine stop for an exception escaping a step loop. The PC is
+   still the faulting instruction's: fetch failures happen before
+   retirement and data faults before the PC advances. *)
+let stop_of_exn t = function
+  | Stop s -> s
+  | Icache.Translate_fault f -> Fault { fault = Mmu_fault f; pc = t.pc }
+  | Icache.Fetch_stop (Icache.Fetch_fault f) -> Fault { fault = Mmu_fault f; pc = t.pc }
+  | Icache.Fetch_stop (Icache.Fetch_undefined word) ->
+      Fault { fault = Undefined_instruction word; pc = t.pc }
+  | e -> raise e
 
 (* --- The traces tier: superblock compilation and dispatch. ---
 
@@ -647,8 +634,8 @@ let step t =
      previous op's epilogue set it, and the dispatcher only enters a
      block when [t.pc] equals its entry), so [retire]'s ring write and
      a faulting access both see the exact PC;
-   - every op retires first and executes second, like [step], so a
-     faulting instruction is still retired and charged;
+   - every op retires first and executes second, like [step_insn], so
+     a faulting instruction is still retired and charged;
    - blocks are cut at branches (compiled as terminators), PAC/AUT
      boundaries and exception-raising instructions, so every compiled
      instruction has a statically known cost and can never change EL;
@@ -797,126 +784,19 @@ let fill_page_cache t el access (c : page_cache) page va =
       c.pg_frame <- fi
   | None -> ()
 
-(* Compile one instruction into an op that tail-calls [k]. The common
-   cases are specialized down to unsafe register-array accesses with
-   every immediate pre-bound (captured boxed int64 constants cost
-   nothing to reuse); everything else falls back to [execute], which
-   still skips fetch/decode/cost on re-execution. [cost_of] is constant
-   for every compilable class — the dynamic-cost instructions are all
-   in [is_cut]. *)
+(* Compile one instruction into an op that tail-calls [k]. Only the
+   six memory ops are specialized: their per-op page cache (above)
+   skips the micro-TLB probe, and without it the traces tier loses
+   about a third of its guest MIPS on the E2 call probe. Every other
+   compilable instruction shares [execute] — re-running a block still
+   skips fetch, decode and the cost match, and hand-specialized ALU
+   and branch closures measured no faster (DESIGN.md, "Execution
+   tiers"). [cost_of] is constant for every compilable class — the
+   dynamic-cost instructions are all in [is_cut]. *)
 let compile_op t insn ~next ~self k =
   let cost = cost_of t insn in
-  let regs = t.regs in
   let el = t.el in
   match insn with
-  | Insn.Nop | Insn.Isb ->
-      fun () ->
-        retire t insn cost;
-        t.pc <- next;
-        k ()
-  | Insn.Movz (Insn.R d, imm, sh) ->
-      let v = Int64.shift_left (Int64.of_int imm) sh in
-      fun () ->
-        retire t insn cost;
-        Array.unsafe_set regs d v;
-        t.pc <- next;
-        k ()
-  | Insn.Mov (Insn.R d, Insn.R n) ->
-      fun () ->
-        retire t insn cost;
-        Array.unsafe_set regs d (Array.unsafe_get regs n);
-        t.pc <- next;
-        k ()
-  | Insn.Add_imm (Insn.R d, Insn.R n, imm) ->
-      let i = Int64.of_int imm in
-      fun () ->
-        retire t insn cost;
-        Array.unsafe_set regs d (Int64.add (Array.unsafe_get regs n) i);
-        t.pc <- next;
-        k ()
-  | Insn.Sub_imm (Insn.R d, Insn.R n, imm) ->
-      let i = Int64.of_int imm in
-      fun () ->
-        retire t insn cost;
-        Array.unsafe_set regs d (Int64.sub (Array.unsafe_get regs n) i);
-        t.pc <- next;
-        k ()
-  | Insn.Add_reg (Insn.R d, Insn.R n, Insn.R m) ->
-      fun () ->
-        retire t insn cost;
-        Array.unsafe_set regs d
-          (Int64.add (Array.unsafe_get regs n) (Array.unsafe_get regs m));
-        t.pc <- next;
-        k ()
-  | Insn.Sub_reg (Insn.R d, Insn.R n, Insn.R m) ->
-      fun () ->
-        retire t insn cost;
-        Array.unsafe_set regs d
-          (Int64.sub (Array.unsafe_get regs n) (Array.unsafe_get regs m));
-        t.pc <- next;
-        k ()
-  | Insn.And_reg (Insn.R d, Insn.R n, Insn.R m) ->
-      fun () ->
-        retire t insn cost;
-        Array.unsafe_set regs d
-          (Int64.logand (Array.unsafe_get regs n) (Array.unsafe_get regs m));
-        t.pc <- next;
-        k ()
-  | Insn.Orr_reg (Insn.R d, Insn.R n, Insn.R m) ->
-      fun () ->
-        retire t insn cost;
-        Array.unsafe_set regs d
-          (Int64.logor (Array.unsafe_get regs n) (Array.unsafe_get regs m));
-        t.pc <- next;
-        k ()
-  | Insn.Eor_reg (Insn.R d, Insn.R n, Insn.R m) ->
-      fun () ->
-        retire t insn cost;
-        Array.unsafe_set regs d
-          (Int64.logxor (Array.unsafe_get regs n) (Array.unsafe_get regs m));
-        t.pc <- next;
-        k ()
-  | Insn.Subs_reg (Insn.R d, Insn.R n, Insn.R m) ->
-      fun () ->
-        retire t insn cost;
-        Array.unsafe_set regs d
-          (set_flags_sub t (Array.unsafe_get regs n) (Array.unsafe_get regs m));
-        t.pc <- next;
-        k ()
-  | Insn.Subs_imm (Insn.R d, Insn.R n, imm) ->
-      let i = Int64.of_int imm in
-      fun () ->
-        retire t insn cost;
-        Array.unsafe_set regs d (set_flags_sub t (Array.unsafe_get regs n) i);
-        t.pc <- next;
-        k ()
-  | Insn.Lsl_imm (Insn.R d, Insn.R n, sh) ->
-      fun () ->
-        retire t insn cost;
-        Array.unsafe_set regs d (Int64.shift_left (Array.unsafe_get regs n) sh);
-        t.pc <- next;
-        k ()
-  | Insn.Lsr_imm (Insn.R d, Insn.R n, sh) ->
-      fun () ->
-        retire t insn cost;
-        Array.unsafe_set regs d
-          (Int64.shift_right_logical (Array.unsafe_get regs n) sh);
-        t.pc <- next;
-        k ()
-  | Insn.Adr (Insn.R d, target) ->
-      fun () ->
-        retire t insn cost;
-        Array.unsafe_set regs d target;
-        t.pc <- next;
-        k ()
-  | Insn.Movk (Insn.R d, imm, sh) ->
-      let field = Int64.of_int imm in
-      fun () ->
-        retire t insn cost;
-        Array.unsafe_set regs d
-          (Val64.insert ~lo:sh ~width:16 ~field (Array.unsafe_get regs d));
-        t.pc <- next;
-        k ()
   | Insn.Ldr (rd, m) ->
       let addr = op_addr t el m and set_d = op_set t el rd in
       let icache = t.icache in
@@ -1041,58 +921,10 @@ let compile_op t insn ~next ~self k =
         end;
         t.pc <- next;
         if block_alive self then k ()
-  | Insn.B target ->
-      fun () ->
-        retire t insn cost;
-        t.pc <- target;
-        k ()
-  | Insn.Bl target ->
-      fun () ->
-        retire t insn cost;
-        Array.unsafe_set regs 30 next;
-        t.pc <- target;
-        k ()
-  | Insn.Br (Insn.R n) ->
-      fun () ->
-        retire t insn cost;
-        t.pc <- Array.unsafe_get regs n;
-        k ()
-  | Insn.Blr (Insn.R n) ->
-      fun () ->
-        retire t insn cost;
-        (* read the target before writing lr: Blr x30 must branch to
-           the old link register, like [execute] *)
-        let target = Array.unsafe_get regs n in
-        Array.unsafe_set regs 30 next;
-        t.pc <- target;
-        k ()
-  | Insn.Ret ->
-      fun () ->
-        retire t insn cost;
-        t.pc <- Array.unsafe_get regs 30;
-        k ()
-  | Insn.Cbz (Insn.R n, target) ->
-      fun () ->
-        retire t insn cost;
-        (if is_zero64 (Array.unsafe_get regs n) then t.pc <- target
-         else t.pc <- next);
-        k ()
-  | Insn.Cbnz (Insn.R n, target) ->
-      fun () ->
-        retire t insn cost;
-        (if is_zero64 (Array.unsafe_get regs n) then t.pc <- next
-         else t.pc <- target);
-        k ()
-  | Insn.Bcond (c, target) ->
-      fun () ->
-        retire t insn cost;
-        (if cond_holds t c then t.pc <- target else t.pc <- next);
-        k ()
   | _ ->
-      (* XZR/SP operands, bitfield ops: rare enough to share the
-         interpreter's executor. Liveness-checked like a store out of
-         caution — nothing unspecialized writes memory today, but the
-         check keeps that a local property of this match. *)
+      (* Liveness-checked like a store out of caution — nothing
+         unspecialized writes memory today, but the check keeps that a
+         local property of this match. *)
       fun () ->
         retire t insn cost;
         execute t insn ~next;
@@ -1261,68 +1093,38 @@ let run_traces t tr max_insns =
     if ran = b.Traces.bk_len then go_chained (budget - ran) b
     else go_boundary (budget - ran) true
   and step_once budget =
-    (* cold or cut code: one icache-tier step. The next PC is a
+    (* cold or cut code: one stepped instruction. The next PC is a
        compilation candidate when control transferred or when we
        just crossed a cut instruction (so the region after a PAC/
        AUT boundary still becomes a block). *)
-    let insn = Icache.fetch_exn t.icache ~el:t.el t.pc in
-    let cost = cost_of t insn in
-    retire t insn cost;
     let fall = Int64.add t.pc 4L in
-    execute t insn ~next:fall;
+    let insn = step_insn t in
     go_boundary (budget - 1) (is_cut insn || not (Int64.equal t.pc fall))
   in
-  try go_boundary max_insns true with
-  | Stop s -> s
-  | Icache.Translate_fault f -> Fault { fault = Mmu_fault f; pc = t.pc }
-  | Icache.Fetch_stop (Icache.Fetch_fault f) ->
-      Fault { fault = Mmu_fault f; pc = t.pc }
-  | Icache.Fetch_stop (Icache.Fetch_undefined word) ->
-      Fault { fault = Undefined_instruction word; pc = t.pc }
+  try go_boundary max_insns true with e -> stop_of_exn t e
 
-let run_stepped ~max_insns t fast =
-  if fast then begin
-    (* one exception frame for the whole run, not one per step *)
-    let rec go budget =
-      if budget <= 0 then Insn_limit
-      else if is_sentinel t.pc then Sentinel_return
-      else begin
-        let insn = Icache.fetch_exn t.icache ~el:t.el t.pc in
-        let cost = cost_of t insn in
-        retire t insn cost;
-        execute t insn ~next:(Int64.add t.pc 4L);
-        go (budget - 1)
-      end
-    in
-    try go max_insns with
-    | Stop s -> s
-    | Icache.Translate_fault f -> Fault { fault = Mmu_fault f; pc = t.pc }
-    | Icache.Fetch_stop (Icache.Fetch_fault f) ->
-        Fault { fault = Mmu_fault f; pc = t.pc }
-    | Icache.Fetch_stop (Icache.Fetch_undefined word) ->
-        Fault { fault = Undefined_instruction word; pc = t.pc }
-  end
-  else begin
-    let rec go budget =
-      if budget <= 0 then Insn_limit
-      else
-        match step t with
-        | Some s -> s
-        | None -> go (budget - 1)
-    in
-    go max_insns
-  end
+(* Interp and icache cores, and any core with a step hook or telemetry
+   sink: one exception frame for the whole run, not one per step. *)
+let run_stepped t max_insns =
+  let rec go budget =
+    if budget <= 0 then Insn_limit
+    else if is_sentinel t.pc then Sentinel_return
+    else begin
+      ignore (step_insn t : Insn.t);
+      go (budget - 1)
+    end
+  in
+  try go max_insns with e -> stop_of_exn t e
 
 let run ?(max_insns = 10_000_000) t =
-  let fast = Option.is_none t.step_hook && Option.is_none t.sink in
-  t.last_run_fast <- fast;
-  t.last_run_tier <-
-    (match t.tier with Traces -> if fast then Traces else Icache | tr -> tr);
   match t.traces with
-  | Some tr when fast -> run_traces t tr max_insns
-  | _ -> run_stepped ~max_insns t fast
+  | Some tr when Option.is_none t.step_hook && Option.is_none t.sink ->
+      t.last_run_tier <- Traces;
+      run_traces t tr max_insns
+  | _ ->
+      t.last_run_tier <- (match t.tier with Interp -> Interp | _ -> Icache);
+      run_stepped t max_insns
 
-let last_run_fast t = t.last_run_fast
 let last_run_tier t = t.last_run_tier
 
 let call ?max_insns t addr =
@@ -1374,7 +1176,6 @@ type captured = {
   c_trace_insn : Insn.t array;
   c_trace_pos : int;
   c_step_hook : (t -> pc:int64 -> Insn.t -> hook_action) option;
-  c_last_run_fast : bool;
   c_last_run_tier : tier;
 }
 
@@ -1399,7 +1200,6 @@ let capture t =
     c_trace_insn = Array.copy t.trace_insn;
     c_trace_pos = t.trace_pos;
     c_step_hook = t.step_hook;
-    c_last_run_fast = t.last_run_fast;
     c_last_run_tier = t.last_run_tier;
   }
 
@@ -1423,7 +1223,6 @@ let restore t c =
   Array.blit c.c_trace_insn 0 t.trace_insn 0 (Array.length t.trace_insn);
   t.trace_pos <- c.c_trace_pos;
   t.step_hook <- c.c_step_hook;
-  t.last_run_fast <- c.c_last_run_fast;
   t.last_run_tier <- c.c_last_run_tier;
   (* compiled blocks may shadow state the restore just rewrote; the
      Mem-hook and generation channels catch most of it, but a flush

@@ -154,7 +154,7 @@ val set_sysreg_lock : t -> (Sysreg.t -> bool) -> unit
     decoded instruction. The hook may mutate machine state (registers,
     key registers, memory) — this is the fault-injection attachment
     point — and its verdict decides whether the instruction executes or
-    is skipped. The hook must not call {!step} reentrantly. *)
+    is skipped. The hook must not call {!run} reentrantly. *)
 val set_step_hook : t -> (t -> pc:int64 -> Insn.t -> hook_action) option -> unit
 
 (** [attach_telemetry t sink] connects a per-core telemetry endpoint:
@@ -183,18 +183,11 @@ val origin_of_insn : Insn.t -> Telemetry.Profile.origin
     trips in instrumented prologues) but never mapped. *)
 val sentinel : int64
 
-(** [step t] executes one instruction; [None] means normal retirement. *)
-val step : t -> stop option
-
 (** [run ?max_insns t] steps until a stop (default limit 10 million).
-    When neither a step hook nor a telemetry sink is attached, the loop
-    commits to a fast path that skips both disabled-path checks — the
-    selection is made once per call, not per step. *)
+    A [Traces] core with neither a step hook nor a telemetry sink runs
+    compiled superblocks; every other run goes through the one step
+    loop, which checks the hook and sink on each instruction. *)
 val run : ?max_insns:int -> t -> stop
-
-(** [last_run_fast t] — whether the most recent {!run} took the
-    hook-free fast loop (observability for the fast-path tests). *)
-val last_run_fast : t -> bool
 
 (** [last_run_tier t] — the tier the most recent {!run} actually
     executed under: a [Traces] core with a step hook or telemetry sink
@@ -238,7 +231,8 @@ val fold_sysregs : t -> ('a -> Sysreg.t -> int64 -> 'a) -> 'a -> 'a
 (** Full per-core mutable state capture for {!Machine} snapshots:
     registers, banked SPs, PC, EL, flags, system registers (PAuth keys
     included), cycle/retirement counters, the trace ring, and host-side
-    attachments (step hook, hypervisor lock predicate, fast-path flag).
+    attachments (step hook, hypervisor lock predicate, the tier of the
+    last run).
     [restore] writes the sysreg table back directly without the
     per-write icache flush of {!set_sysreg} — callers restoring a whole
     machine must flush the shared icache once afterwards, which is what

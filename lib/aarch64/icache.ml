@@ -85,7 +85,7 @@ type t = {
 
 type fetch_error = Fetch_fault of Mmu.fault | Fetch_undefined of int32
 
-(* The raising fetch API exists for the interpreter's fast loop: a
+(* The raising fetch API exists for the CPU's step loop: a
    [result] return would allocate an [Ok] block per retired
    instruction. Faults are rare, so they pay the exception instead. *)
 exception Fetch_stop of fetch_error

@@ -48,8 +48,8 @@ val fetch : t -> el:El.t -> int64 -> (Insn.t, fetch_error) result
 exception Fetch_stop of fetch_error
 
 (** [fetch_exn] — same as {!fetch} but raises {!Fetch_stop} on failure;
-    the interpreter's fast loop uses it to keep the hit path free of
-    [result] allocations. *)
+    the CPU's step loop uses it to keep the hit path free of [result]
+    allocations. *)
 val fetch_exn : t -> el:El.t -> int64 -> Insn.t
 
 (** [translate t ~el ~access va] — micro-TLB front end for

@@ -136,26 +136,31 @@ let prop_no_benign_panic =
 
 (* ---------- three-tier differential conformance fuzzer ----------
 
-   Random bare-metal programs — arithmetic, bounded loads/stores,
+   Random bare-metal programs — arithmetic (XZR and SP operands
+   included), bounded loads/stores of every width and addressing mode,
    forward conditional skips, PAC/AUT round trips, stack push/pop pairs
    and (optionally) a self-patching store — wrapped in a loop hot
    enough to cross the trace compiler's threshold, executed under all
-   three tiers. The observable is the stop reason plus the whole-machine
-   state fingerprint ({!Snapshot.Fingerprint.of_machine}: registers,
-   flags, cycle and retirement totals, system registers, every non-zero
-   memory frame, both translation stages), so any divergence the trace
-   compiler could introduce — wrong retirement count, stale code after
+   three tiers and once more on the traces tier with a pass-through
+   step hook, which forces the stepped loop. The observable is the
+   stop reason plus the whole-machine state fingerprint
+   ({!Snapshot.Fingerprint.of_machine}: registers, flags, cycle and
+   retirement totals, system registers, every non-zero memory frame,
+   both translation stages), so any divergence the trace compiler
+   could introduce — wrong retirement count, stale code after
    a self-patch, a mis-costed instruction — fails the property.
 
    Register discipline keeps random programs well-defined: R0-R5 are
    arithmetic scratch, R8/R9 carry the self-patch word and victim
    address, R10 points at the data region, R11 is the loop counter,
-   R12/R13 are PAC scratch. *)
+   R12/R13 are PAC scratch, R14 is the writeback base for memory runs. *)
 
 open Aarch64
 
 type fitem =
   | Arith of Insn.t
+  | Mem of Insn.t list  (* in-bounds accesses; see [gen_mem] *)
+  | Adr_loop of int  (* adr R(n), loop *)
   | Store_load of int * int * int  (* rs, rd, 8-byte slot in the data page *)
   | Push_pop of int * int * int * int
   | Skip_z of int * Insn.t list  (* cbz R(n) over the protected run *)
@@ -172,17 +177,32 @@ type fprog = {
   selfmod : bool;
 }
 
+(* Scratch destinations, occasionally XZR; sources may also read SP. *)
+let gen_dst =
+  QCheck2.Gen.(
+    frequency [ (8, map (fun n -> Insn.R n) (int_range 0 5)); (1, return Insn.XZR) ])
+
+let gen_src = QCheck2.Gen.(frequency [ (8, gen_dst); (1, return Insn.SP) ])
+
 let gen_arith =
   QCheck2.Gen.(
-    let reg = map (fun n -> Insn.R n) (int_range 0 5) in
+    let reg = gen_dst in
+    let src = gen_src in
     let imm12 = int_range 0 4095 in
+    let bitfield =
+      int_range 0 63 >>= fun lsb -> map (fun w -> (lsb, w)) (int_range 1 (64 - lsb))
+    in
     oneof
       [
         map2 (fun r v -> Insn.Movz (r, v, 0)) reg (int_range 0 0xffff);
-        map3 (fun d n v -> Insn.Add_imm (d, n, v)) reg reg imm12;
-        map3 (fun d n v -> Insn.Sub_imm (d, n, v)) reg reg imm12;
-        map3 (fun d n m -> Insn.Add_reg (d, n, m)) reg reg reg;
-        map3 (fun d n m -> Insn.Sub_reg (d, n, m)) reg reg reg;
+        map3 (fun r v sh -> Insn.Movk (r, v, sh)) reg (int_range 0 0xffff)
+          (oneofl [ 0; 16; 32; 48 ]);
+        map3 (fun d n (lsb, w) -> Insn.Bfi (d, n, lsb, w)) reg src bitfield;
+        map3 (fun d n (lsb, w) -> Insn.Ubfx (d, n, lsb, w)) reg src bitfield;
+        map3 (fun d n v -> Insn.Add_imm (d, n, v)) reg src imm12;
+        map3 (fun d n v -> Insn.Sub_imm (d, n, v)) reg src imm12;
+        map3 (fun d n m -> Insn.Add_reg (d, n, m)) reg src reg;
+        map3 (fun d n m -> Insn.Sub_reg (d, n, m)) reg reg src;
         map3 (fun d n m -> Insn.And_reg (d, n, m)) reg reg reg;
         map3 (fun d n m -> Insn.Orr_reg (d, n, m)) reg reg reg;
         map3 (fun d n m -> Insn.Eor_reg (d, n, m)) reg reg reg;
@@ -190,8 +210,50 @@ let gen_arith =
         map3 (fun d n v -> Insn.Subs_imm (d, n, v)) reg reg imm12;
         map3 (fun d n s -> Insn.Lsl_imm (d, n, s)) reg reg (int_range 0 15);
         map3 (fun d n s -> Insn.Lsr_imm (d, n, s)) reg reg (int_range 0 15);
-        map2 (fun d n -> Insn.Mov (d, n)) reg reg;
+        map2 (fun d n -> Insn.Mov (d, n)) reg src;
         return Insn.Nop;
+      ])
+
+(* Memory runs that stay inside the first 64 bytes of the data page
+   (R10) or the 16 bytes they push below SP, and leave R10, R14 and SP
+   as they found them. Together they reach every addressing-mode arm of
+   the compiled memory ops: byte accesses, Pre/Post writeback on a
+   general-register base, SP-relative offsets, XZR stored and loaded,
+   SP stored and reloaded, and the E2 call probe's frame push. *)
+let gen_mem =
+  QCheck2.Gen.(
+    let open Insn in
+    let d = gen_dst in
+    let data off = Off (R 10, off) in
+    let writeback =
+      (* st [x14, #o]! then ld [x14], #-o, or the Post/Pre mirror *)
+      oneofl
+        [
+          (fun s d o -> [ Str (s, Pre (R 14, o)); Ldr (d, Post (R 14, -o)) ]);
+          (fun s d o -> [ Str (s, Post (R 14, o)); Ldr (d, Pre (R 14, -o)) ]);
+          (fun s d o -> [ Strb (s, Pre (R 14, o)); Ldrb (d, Post (R 14, -o)) ]);
+          (fun s d o -> [ Strb (s, Post (R 14, o)); Ldrb (d, Pre (R 14, -o)) ]);
+          (fun s d o -> [ Stp (s, d, Pre (R 14, o)); Ldp (d, s, Post (R 14, -o)) ]);
+          (fun s d o -> [ Stp (s, d, Post (R 14, o)); Ldp (d, s, Pre (R 14, -o)) ]);
+        ]
+    in
+    oneof
+      [
+        map3 (fun s d o -> [ Strb (s, data o); Ldrb (d, data o) ]) d d (int_range 0 63);
+        map3 (fun s d k -> [ Str (s, data (8 * k)); Ldr (d, data (8 * k)) ]) d d
+          (int_range 0 7);
+        map (fun k -> [ Str (SP, data (8 * k)); Ldr (SP, data (8 * k)) ]) (int_range 0 7);
+        (writeback >>= fun f ->
+         map3 (fun s d k -> Mov (R 14, R 10) :: f s d (16 * k)) d d (int_range 1 3));
+        map3
+          (fun a d o ->
+            [
+              Stp (a, XZR, Pre (SP, -16));
+              Ldrb (d, Off (SP, o));
+              Ldr (d, Off (SP, 8));
+              Ldp (a, XZR, Post (SP, 16));
+            ])
+          d d (int_range 0 15);
       ])
 
 let gen_fitem =
@@ -201,6 +263,8 @@ let gen_fitem =
     frequency
       [
         (5, map (fun i -> Arith i) gen_arith);
+        (2, map (fun is -> Mem is) gen_mem);
+        (1, map (fun r -> Adr_loop r) r5);
         (2, map3 (fun s d k -> Store_load (s, d, k)) r5 r5 (int_range 0 7));
         ( 1,
           map3 (fun a b c -> (a, b, c)) r5 r5 r5 >>= fun (a, b, c) ->
@@ -235,6 +299,8 @@ let gen_fprog =
 
 let fitem_to_string = function
   | Arith i -> Insn.to_string i
+  | Mem is -> String.concat "; " (List.map Insn.to_string is)
+  | Adr_loop r -> Printf.sprintf "adr r%d, loop" r
   | Store_load (s, d, k) -> Printf.sprintf "st/ld r%d->r%d @%d" s d k
   | Push_pop (a, b, c, d) -> Printf.sprintf "push/pop %d,%d->%d,%d" a b c d
   | Skip_z (r, is) ->
@@ -259,6 +325,8 @@ let print_fprog p =
    (labels are free), so the victim pair can be 8-aligned. *)
 let emit_fitem fresh = function
   | Arith i -> ([ Asm.ins i ], 1)
+  | Mem is -> (List.map Asm.ins is, List.length is)
+  | Adr_loop r -> ([ Asm.adr_of (Insn.R r) "loop" ], 1)
   | Store_load (s, d, k) ->
       ( [
           Asm.ins (Insn.Str (Insn.R s, Insn.Off (Insn.R 10, 8 * k)));
@@ -366,9 +434,10 @@ let emit_fprog p =
       ]);
   prog
 
-let run_fprog ~tier p =
+let run_fprog ?(hooked = false) ~tier p =
   let m = Bare.smp ~seed:11L ~tier () in
   let cpu = Machine.boot_core m in
+  if hooked then Cpu.set_step_hook cpu (Some (fun _ ~pc:_ _ -> Cpu.Exec));
   if p.selfmod then
     Bare.map_region cpu ~base:Bare.code_base ~pages:16 Mmu.rwx;
   let layout = Bare.load cpu (emit_fprog p) in
@@ -382,7 +451,9 @@ let prop_three_tier =
       let stop_i, fp_i = run_fprog ~tier:Cpu.Interp p in
       let stop_c, fp_c = run_fprog ~tier:Cpu.Icache p in
       let stop_t, fp_t = run_fprog ~tier:Cpu.Traces p in
-      stop_i = stop_c && stop_c = stop_t && fp_i = fp_c && fp_c = fp_t)
+      let stop_h, fp_h = run_fprog ~hooked:true ~tier:Cpu.Traces p in
+      stop_i = stop_c && stop_c = stop_t && stop_t = stop_h && fp_i = fp_c
+      && fp_c = fp_t && fp_t = fp_h)
 
 (* Telemetry is pure observation in every tier: booting the kernel with
    counters on and running a random syscall sequence must produce the

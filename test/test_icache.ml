@@ -440,31 +440,52 @@ let test_stuck_fault_on_cached_code () =
   Alcotest.(check string) "cached = uncached stop" (fst off) (fst on);
   Alcotest.(check string) "cached = uncached state" (snd off) (snd on)
 
-(* ---------- fast path engagement ---------- *)
+(* ---------- hooked and hook-free runs agree ---------- *)
+
+(* One step loop serves hooked and hook-free runs alike, and a
+   hook-free traces core runs compiled blocks instead. Two calls per
+   machine: with no hook, under a pass-through [Exec] hook, or hooked
+   for the first call and unhooked for the second. All three must end
+   in the same state. *)
+let run_memloop_twice ~tier hook =
+  let m = Bare.smp ~seed:9L ~tier () in
+  let cpu = Machine.boot_core m in
+  let layout = Bare.load cpu (memory_prog ()) in
+  let calls = ref 0 in
+  let pass _ ~pc:_ _ =
+    incr calls;
+    Cpu.Exec
+  in
+  if hook <> `None then Cpu.set_step_hook cpu (Some pass);
+  for i = 1 to 2 do
+    if i = 2 && hook = `Unhook then Cpu.set_step_hook cpu None;
+    match Bare.call cpu layout "memloop" with
+    | Cpu.Sentinel_return -> ()
+    | s -> Alcotest.failf "memloop stopped: %s" (Cpu.stop_to_string s)
+  done;
+  ( !calls,
+    (Snapshot.Fingerprint.of_machine m, Cpu.insns_retired cpu, Cpu.cycles cpu) )
 
 let test_fast_path_without_hooks () =
-  let cpu = Bare.machine () in
-  let prog = Asm.create () in
-  Asm.add_function prog ~name:"f"
-    [ Asm.ins (Insn.Movz (Insn.R 0, 1, 0)); Asm.ins Insn.Ret ];
-  let layout = Bare.load cpu prog in
-  (match Bare.call cpu layout "f" with
-  | Cpu.Sentinel_return -> ()
-  | s -> Alcotest.failf "f stopped: %s" (Cpu.stop_to_string s));
-  Alcotest.(check bool) "hook-free run takes the fast loop" true
-    (Cpu.last_run_fast cpu);
-  Cpu.set_step_hook cpu (Some (fun _ ~pc:_ _ -> Cpu.Exec));
-  (match Bare.call cpu layout "f" with
-  | Cpu.Sentinel_return -> ()
-  | s -> Alcotest.failf "hooked f stopped: %s" (Cpu.stop_to_string s));
-  Alcotest.(check bool) "a step hook forces the slow loop" false
-    (Cpu.last_run_fast cpu);
-  Cpu.set_step_hook cpu None;
-  (match Bare.call cpu layout "f" with
-  | Cpu.Sentinel_return -> ()
-  | s -> Alcotest.failf "unhooked f stopped: %s" (Cpu.stop_to_string s));
-  Alcotest.(check bool) "removing the hook restores the fast loop" true
-    (Cpu.last_run_fast cpu)
+  List.iter
+    (fun tier ->
+      let name = Cpu.tier_name tier in
+      let state = Alcotest.(triple string int64 int64) in
+      let free_calls, free = run_memloop_twice ~tier `None in
+      let hooked_calls, ((_, retired, _) as hooked) =
+        run_memloop_twice ~tier `Pass
+      in
+      let unhooked_calls, unhooked = run_memloop_twice ~tier `Unhook in
+      Alcotest.(check int) (name ^ ": no hook, no calls") 0 free_calls;
+      Alcotest.(check int)
+        (name ^ ": hook sees every retired insn")
+        (Int64.to_int retired) hooked_calls;
+      Alcotest.(check int)
+        (name ^ ": unhooked call never reaches the hook")
+        hooked_calls (2 * unhooked_calls);
+      Alcotest.check state (name ^ ": pass-through hook = hook-free") free hooked;
+      Alcotest.check state (name ^ ": unhooked = hook-free") free unhooked)
+    Cpu.all_tiers
 
 (* ---------- stats, toggling, sharing ---------- *)
 
