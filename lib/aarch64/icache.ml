@@ -68,7 +68,9 @@ type counters = {
 
 type t = {
   mutable enabled : bool;
-  slots : entry option array;  (* direct-mapped on (EL, VA page) *)
+  (* direct-mapped on (EL, VA page); [empty_slots] until the first
+     [install] *)
+  mutable slots : entry option array;
   (* frame index -> entries whose decoded lines shadow that frame;
      only entries with allocated lines are registered here *)
   by_frame : (int, entry list) Hashtbl.t;
@@ -78,6 +80,9 @@ type t = {
      clears them (unregistration leaves stale bits — conservative). *)
   mutable reg_mask : int;
   mutable gen : int;  (* Mmu generation observed at the last lookup *)
+  (* cleared decoded-line arrays that [flush] took back from its
+     entries, handed out again by [lines_of] *)
+  mutable spare_lines : Insn.t option array list;
   mem : Mem.t;
   mmu : Mmu.t;
   c : counters;
@@ -93,6 +98,12 @@ exception Fetch_stop of fetch_error
 let slot_count = 1024
 let lines_per_page = 1024  (* 4 KiB / 4-byte instructions *)
 
+(* The slot table every cache starts from, shared and never written
+   (only [install] stores a [Some], and it swaps in a private table
+   first). Most machines are built and dropped without running, so a
+   cache pays for its 1025-word table only once it caches something. *)
+let empty_slots : entry option array = Array.make slot_count None
+
 let el_index = function El.El0 -> 0 | El.El1 -> 1 | El.El2 -> 2
 
 (* Fibonacci-multiply slot hash: plain xor-folding maps the common
@@ -107,8 +118,22 @@ let slot_of ~el va_page =
 (* Golden-ratio spread of a frame index onto one of 32 filter bits. *)
 let[@inline] bloom_bit frame = 1 lsl ((frame * 0x61C8_8647) lsr 5 land 31)
 
+(* A page's decoded-line array is 1025 words and goes straight to the
+   major heap, and every snapshot restore flushes, so [flush] recycles
+   the arrays of the entries it drops: it clears each one for the next
+   [lines_of] and resets the entry's [e_lines] to [||], so an entry
+   still held elsewhere cannot see lines that come to belong to another
+   page. The entries with lines are exactly those registered in
+   [by_frame]. *)
+let recycle_lines t e =
+  Array.fill e.e_lines 0 lines_per_page None;
+  t.spare_lines <- e.e_lines :: t.spare_lines;
+  e.e_lines <- [||]
+
 let flush t =
-  Array.fill t.slots 0 slot_count None;
+  if t.reg_mask <> 0 then
+    Hashtbl.iter (fun _ entries -> List.iter (recycle_lines t) entries) t.by_frame;
+  if t.slots != empty_slots then Array.fill t.slots 0 slot_count None;
   Hashtbl.reset t.by_frame;
   t.reg_mask <- 0;
   t.c.c_flushes <- t.c.c_flushes + 1
@@ -136,10 +161,11 @@ let create ?(enabled = true) ~mem ~mmu () =
   let t =
     {
       enabled;
-      slots = Array.make slot_count None;
+      slots = empty_slots;
       by_frame = Hashtbl.create 64;
       reg_mask = 0;
       gen = Mmu.generation mmu;
+      spare_lines = [];
       mem;
       mmu;
       c =
@@ -197,6 +223,7 @@ let unregister t e =
   end
 
 let install t ~el ~va_page ~pa_page ~perm =
+  if t.slots == empty_slots then t.slots <- Array.make slot_count None;
   let slot = slot_of ~el va_page in
   (match t.slots.(slot) with Some old -> unregister t old | None -> ());
   let e =
@@ -223,7 +250,11 @@ let[@inline] frame_of_entry t e =
    frame's contents, so stores must not evict them. *)
 let lines_of t e =
   if Array.length e.e_lines = 0 then begin
-    e.e_lines <- Array.make lines_per_page None;
+    (match t.spare_lines with
+    | lines :: rest ->
+        t.spare_lines <- rest;
+        e.e_lines <- lines
+    | [] -> e.e_lines <- Array.make lines_per_page None);
     let f = e.e_frame_idx in
     let prev = match Hashtbl.find_opt t.by_frame f with Some l -> l | None -> [] in
     Hashtbl.replace t.by_frame f (e :: prev);

@@ -19,7 +19,9 @@ let no_frame = Bytes.create 0
 
 let create () =
   {
-    frames = Hashtbl.create 1024;
+    (* small to start: many machines are built and dropped holding a
+       handful of frames, and a kernel's hundreds grow the table *)
+    frames = Hashtbl.create 128;
     last_idx = -1;
     last_frame = no_frame;
     write_hooks = [];

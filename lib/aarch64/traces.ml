@@ -55,7 +55,9 @@ type counters = {
 }
 
 type 'code t = {
-  slots : 'code block option array;  (* direct-mapped on (EL, entry PC) *)
+  (* direct-mapped on (EL, entry PC); empty until the first [install],
+     so a machine that never compiles a block never pays for the table *)
+  mutable slots : 'code block option array;
   (* frame index -> blocks whose code shadows that frame *)
   by_frame : (int, 'code block list) Hashtbl.t;
   (* Bloom filter over registered frames, same scheme as the icache:
@@ -93,7 +95,7 @@ let create ?(hot_threshold = 16) ~mem ~mmu () =
   if hot_threshold < 1 then invalid_arg "Traces.create: hot_threshold";
   let t =
     {
-      slots = Array.make slot_count None;
+      slots = [||];
       by_frame = Hashtbl.create 64;
       reg_mask = 0;
       counts = Hashtbl.create 256;
@@ -153,9 +155,11 @@ let sync t =
   end
 
 let lookup t ~el pc =
-  match t.slots.(slot_of ~el pc) with
-  | Some b when b.bk_live && b.bk_el = el && Int64.equal b.bk_entry pc -> Some b
-  | _ -> None
+  if Array.length t.slots = 0 then None
+  else
+    match t.slots.(slot_of ~el pc) with
+    | Some b when b.bk_live && b.bk_el = el && Int64.equal b.bk_entry pc -> Some b
+    | _ -> None
 
 let bump t ~el pc =
   let k = key ~el pc in
@@ -196,6 +200,7 @@ let unregister t b =
     b.bk_frames
 
 let install t ~el ~entry ~len ~frames code =
+  if Array.length t.slots = 0 then t.slots <- Array.make slot_count None;
   let slot = slot_of ~el entry in
   (match t.slots.(slot) with
   | Some old ->

@@ -3,7 +3,13 @@
     QARMA is the reference pointer-authentication-code algorithm of the
     ARMv8.3 PAuth extension: a three-round Even-Mansour construction with
     a keyed pseudo-reflector, 64-bit blocks, 64-bit tweaks and 128-bit
-    keys. The Camouflage design computes every PAC with this cipher. *)
+    keys. The Camouflage design computes every PAC with this cipher.
+
+    The implementation works on whole 64-bit words (cell 0 is the most
+    significant nibble) and allocates nothing but its boxed result. *)
+
+(** The three S-box variants of the specification. *)
+type sbox = Sigma0 | Sigma1 | Sigma2
 
 type key = {
   w0 : int64;  (** whitening key half *)
@@ -18,7 +24,7 @@ type t
 (** [create ?sbox ?rounds ()] — defaults to the [Sigma1], r = 6 instance
     recommended for pointer authentication. Raises [Invalid_argument] if
     [rounds] is not in [1, 8]. *)
-val create : ?sbox:Cells.sbox -> ?rounds:int -> unit -> t
+val create : ?sbox:sbox -> ?rounds:int -> unit -> t
 
 (** [encrypt t ~key ~tweak plaintext]. *)
 val encrypt : t -> key:key -> tweak:int64 -> int64 -> int64
@@ -30,5 +36,5 @@ val decrypt : t -> key:key -> tweak:int64 -> int64 -> int64
     register pair as a QARMA key, [hi] being [w0]. *)
 val key_of_pair : int64 * int64 -> key
 
-val sbox : t -> Cells.sbox
+val sbox : t -> sbox
 val rounds : t -> int

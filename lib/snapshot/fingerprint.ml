@@ -6,19 +6,57 @@ open Aarch64
    by id), so two states fingerprint equal iff they are architecturally
    identical — hash-table iteration order never leaks in. *)
 
-let add_i64 b v = Buffer.add_int64_le b v
-let add_int b v = Buffer.add_int64_le b (Int64.of_int v)
+(* The serialization goes into one grow-only byte writer per domain,
+   hashed in place: a state is megabytes of frames, and a buffer made
+   per call would land in the major heap on every trial. Reused, so not
+   reentrant: one fingerprint at a time per domain. *)
+type writer = { mutable buf : Bytes.t; mutable len : int }
+
+let writer = Domain.DLS.new_key (fun () -> { buf = Bytes.create (1 lsl 16); len = 0 })
+
+let reserve b n =
+  let need = b.len + n in
+  if need > Bytes.length b.buf then begin
+    let buf = Bytes.create (max need (2 * Bytes.length b.buf)) in
+    Bytes.blit b.buf 0 buf 0 b.len;
+    b.buf <- buf
+  end
+
+let add_i64 b v =
+  reserve b 8;
+  Bytes.set_int64_le b.buf b.len v;
+  b.len <- b.len + 8
+
+let add_int b v = add_i64 b (Int64.of_int v)
+
+let add_char b c =
+  reserve b 1;
+  Bytes.unsafe_set b.buf b.len c;
+  b.len <- b.len + 1
+
+let add_bytes b s =
+  let n = Bytes.length s in
+  reserve b n;
+  Bytes.blit s 0 b.buf b.len n;
+  b.len <- b.len + n
 
 let add_str b s =
   add_int b (String.length s);
-  Buffer.add_string b s
+  add_bytes b (Bytes.unsafe_of_string s)
 
-let add_bool b v = Buffer.add_char b (if v then '\001' else '\000')
+let add_bool b v = add_char b (if v then '\001' else '\000')
 
 let add_perm b (p : Mmu.perm) =
-  Buffer.add_char b
+  add_char b
     (Char.chr
        ((if p.r then 4 else 0) lor (if p.w then 2 else 0) lor if p.x then 1 else 0))
+
+(* [serialize b x] from an empty writer, then the MD5 of what it wrote. *)
+let digest serialize x =
+  let b = Domain.DLS.get writer in
+  b.len <- 0;
+  serialize b x;
+  Digest.to_hex (Digest.subbytes b.buf 0 b.len)
 
 let el_code = function El.El0 -> 0 | El.El1 -> 1 | El.El2 -> 2
 
@@ -54,7 +92,7 @@ let add_machine b m =
     (fun () idx frame ->
       if not (all_zero frame) then begin
         add_int b idx;
-        Buffer.add_bytes b frame
+        add_bytes b frame
       end)
     ();
   Mmu.fold_stage1 (Machine.mmu m)
@@ -70,14 +108,10 @@ let add_machine b m =
       add_perm b p)
     ()
 
-let of_machine m =
-  let b = Buffer.create (1 lsl 16) in
-  add_machine b m;
-  Digest.to_hex (Digest.bytes (Buffer.to_bytes b))
+let of_machine m = digest add_machine m
 
-let of_system sys =
+let add_system b sys =
   let module K = Kernel.System in
-  let b = Buffer.create (1 lsl 16) in
   add_machine b (K.machine sys);
   add_bool b (K.panicked sys);
   let add_task (t : K.task) =
@@ -114,5 +148,6 @@ let of_system sys =
       add_int b e.Camouflage.Bruteforce.cpu;
       add_i64 b e.Camouflage.Bruteforce.faulting_va;
       add_int b e.Camouflage.Bruteforce.at_failure)
-    (Camouflage.Bruteforce.log bf);
-  Digest.to_hex (Digest.bytes (Buffer.to_bytes b))
+    (Camouflage.Bruteforce.log bf)
+
+let of_system sys = digest add_system sys

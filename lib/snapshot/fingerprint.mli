@@ -11,7 +11,11 @@
 
     Host-speed caches (decoded-instruction cache, micro-TLB) are
     excluded: they are invisible to the guest by construction, and the
-    differential test suite (PR 5) keeps them honest. *)
+    differential test suite keeps them honest.
+
+    The serialization is written into a byte buffer kept per domain and
+    reused by every call, so fingerprinting allocates almost nothing;
+    the functions are not reentrant within one domain. *)
 
 (** Machine-only fingerprint (cores + memory + MMU + GIC). *)
 val of_machine : Aarch64.Machine.t -> string

@@ -528,6 +528,41 @@ let test_machine_shares_one_cache () =
   Alcotest.(check bool) "both cores use the machine cache" true
     (Cpu.icache (Machine.core m 0) == Cpu.icache (Machine.core m 1))
 
+(* ---------- decoded-line arrays recycled by a flush ---------- *)
+
+(* [flush] hands the dropped pages' line arrays to the next pages that
+   get decoded. f's array goes to g's page, then a store patches f:
+   g must not see f's old lines, and f must decode its new word. *)
+let run_recycled_lines ~tier =
+  let cpu = Bare.machine ~seed:4L ~tier () in
+  let load base name v =
+    let prog = Asm.create () in
+    Asm.add_function prog ~name [ Asm.ins (Insn.Movz (Insn.R 0, v, 0)); Asm.ins Insn.Ret ];
+    Bare.load ~base cpu prog
+  in
+  let a = load Bare.code_base "f" 1 in
+  let b = load (Int64.add Bare.code_base 0x1000L) "g" 3 in
+  let call layout name =
+    match Bare.call cpu layout name with
+    | Cpu.Sentinel_return -> Cpu.reg cpu (Insn.R 0)
+    | s -> Alcotest.failf "%s stopped: %s" name (Cpu.stop_to_string s)
+  in
+  let before = call a "f" in
+  Icache.flush (Cpu.icache cpu);
+  let g1 = call b "g" in
+  let f = Asm.symbol a "f" in
+  Mem.write32 (Cpu.mem cpu) (Bare.pa_of_va f) (Encode.encode ~pc:f (Insn.Movz (Insn.R 0, 2, 0)));
+  let after = call a "f" in
+  [ before; g1; after; call b "g" ]
+
+let test_flush_recycles_lines () =
+  List.iter
+    (fun tier ->
+      Alcotest.(check (list int64))
+        (Cpu.tier_name tier ^ ": f, g, patched f, g")
+        [ 1L; 3L; 2L; 3L ] (run_recycled_lines ~tier))
+    Cpu.all_tiers
+
 let suite =
   [
     Alcotest.test_case "differential: call-heavy workload" `Quick
@@ -555,4 +590,6 @@ let suite =
       test_disabled_machine_never_counts;
     Alcotest.test_case "SMP machine shares one cache" `Quick
       test_machine_shares_one_cache;
+    Alcotest.test_case "flush recycles line arrays, stores still refetch" `Quick
+      test_flush_recycles_lines;
   ]
