@@ -1228,16 +1228,20 @@ let sim () =
   let icache_speedup, traces_interp, traces_icache =
     variant "baseline" C.Config.none ~calls:300_000 ~reps:3
   in
-  (* Companion: the Camouflage-instrumented variant of the same probe.
-     Its runtime is dominated by host-side QARMA cipher evaluations
-     (~19 us per PAC/AUT), so by Amdahl's law the fetch/decode savings
-     barely move the total — reported for honesty, not as the target.
-     Smaller and unrepeated: the cipher makes it ~30x slower per call. *)
-  let _ = variant "camouflage" C.Config.backward_only ~calls:30_000 ~reps:1 in
+  (* Companion: the Camouflage-instrumented variant of the same probe,
+     one PAC and one AUT per call. PAC and AUT compile in-block with a
+     per-op result cache, so the traces tier runs a protected call as one
+     superblock and skips the cipher on every repeated signing; the
+     interp and icache tiers still evaluate QARMA on every PAC/AUT. *)
+  let _, _, cam_traces_icache =
+    variant "camouflage" C.Config.backward_only ~calls:30_000 ~reps:3
+  in
   row
     "\nacceptance floor (baseline): icache >= 3x interp (got %.2fx), traces \
      >= 2x icache (got %.2fx); traces over interp: %.2fx\n"
     icache_speedup traces_icache traces_interp;
+  row "acceptance floor (camouflage): traces >= 2x icache (got %.2fx)\n"
+    cam_traces_icache;
   metric ~experiment:"sim" ~name:"icache-speedup" ~value:icache_speedup
     ~unit_:"ratio";
   metric ~experiment:"sim" ~name:"traces-speedup-over-interp"

@@ -59,6 +59,10 @@ type t = {
      trace cache hooks the one shared [Mem]. *)
   traces : (unit -> unit) Traces.t option;
   cipher : Qarma.Block.t;
+  (* on a traces-tier core, bumped whenever a PAuth key register's
+     value changes (and on [restore]): the compiled PAC/AUT ops' result
+     caches are valid only for the generation they were filled under *)
+  mutable key_gen : int;
   cost : Cost.profile;
   (* native ints, not Int64: these are bumped once per retired
      instruction on the interpreter hot path and a boxed Int64
@@ -134,6 +138,7 @@ let create ?(cost = Cost.cortex_a53) ?(has_pauth = true) ?(user_cfg = Vaddr.linu
     tier;
     traces;
     cipher;
+    key_gen = 0;
     cost;
     cycles = 0;
     insns_retired = 0;
@@ -215,8 +220,16 @@ let sysreg t sr =
    translation-regime change may invalidate every cached decode. PAuth
    key registers are deliberately exempt — keys affect execution, never
    decode or translation, and the XOM setter rewrites them on every
-   kernel entry. *)
+   kernel entry. A key write that changes the key's value instead
+   advances the key generation, which retires every compiled PAC/AUT
+   op's result cache; re-installing the same key keeps them warm. Only
+   a traces-tier core compiles ops, so only it pays for the compare. *)
 let set_sysreg t sr v =
+  if Option.is_some t.traces && Sysreg.is_pauth_key sr then begin
+    match Hashtbl.find t.sysregs sr with
+    | old when Int64.equal old v -> ()
+    | _ | (exception Not_found) -> t.key_gen <- t.key_gen + 1
+  end;
   Hashtbl.replace t.sysregs sr v;
   if Sysreg.is_mmu_control sr || sr = Sysreg.CONTEXTIDR_EL1 then begin
     Icache.flush t.icache;
@@ -330,15 +343,18 @@ let do_pac t key ptr modifier =
     Pac.compute ~cipher:t.cipher ~key:(pac_key t key) ~cfg ~modifier ptr
   else ptr
 
+let auth_failed t =
+  match t.sink with
+  | Some s -> Telemetry.Counters.count_auth_failure (Telemetry.Sink.counters s)
+  | None -> ()
+
 let do_aut t key ptr modifier =
   if pauth_enabled t key then begin
     let cfg = pointer_cfg t ptr in
     match Pac.auth ~cipher:t.cipher ~key:(pac_key t key) ~cfg ~modifier ptr with
     | Ok stripped -> stripped
     | Error poisoned ->
-        (match t.sink with
-        | Some s -> Telemetry.Counters.count_auth_failure (Telemetry.Sink.counters s)
-        | None -> ());
+        auth_failed t;
         poisoned
   end
   else ptr
@@ -636,21 +652,24 @@ let stop_of_exn t = function
      a faulting access both see the exact PC;
    - every op retires first and executes second, like [step_insn], so
      a faulting instruction is still retired and charged;
-   - blocks are cut at branches (compiled as terminators), PAC/AUT
-     boundaries and exception-raising instructions, so every compiled
-     instruction has a statically known cost and can never change EL;
+   - blocks are cut at branches (compiled as terminators), system-
+     register traffic, authenticated branches and exception-raising
+     instructions, so every compiled instruction has a cost fixed at
+     compile time and can never change EL. PAC, AUT, XPAC and PACGA
+     compile in-block: their cost depends only on [has_pauth] and the
+     SCTLR enable bits, and every way SCTLR changes (an executed MSR,
+     a host [set_sysreg], [restore]) flushes the trace cache first;
    - the driver re-checks [Traces.live] between ops: a store that lands
      in the block's own code pages (the Bloom-screened [Mem] hook) kills
      the block mid-flight and the remaining ops are abandoned, exactly
      as the interpreter would re-fetch the patched word. *)
 
-(* Instructions that end a block *before* themselves: dynamic cost
-   (PAC family), EL/sysreg traffic, or a raise. They execute via the
+(* Instructions that end a block *before* themselves: authenticated
+   branches, EL/sysreg traffic, or a raise. They execute via the
    single-step path. *)
 let is_cut = function
-  | Insn.Pac _ | Insn.Aut _ | Insn.Pac1716 _ | Insn.Aut1716 _ | Insn.Xpac _
-  | Insn.Pacga _ | Insn.Blra _ | Insn.Bra _ | Insn.Reta _ | Insn.Mrs _
-  | Insn.Msr _ | Insn.Svc _ | Insn.Eret | Insn.Brk _ | Insn.Hlt _ ->
+  | Insn.Blra _ | Insn.Bra _ | Insn.Reta _ | Insn.Mrs _ | Insn.Msr _ | Insn.Svc _
+  | Insn.Eret | Insn.Brk _ | Insn.Hlt _ ->
       true
   | _ -> false
 
@@ -784,19 +803,92 @@ let fill_page_cache t el access (c : page_cache) page va =
       c.pg_frame <- fi
   | None -> ()
 
+(* Per-op single-entry result cache for compiled PAC/AUT, built like
+   the page cache above: the last input pointer and modifier the op
+   saw and its result, unboxed in [pc_words] at byte offsets 0/8/16,
+   whether that AUT failed, and the key generation at fill. A compiled
+   op's key is enabled and its core's pointer layouts are fixed, so its
+   result is a function of (pointer, modifier, key value); a Camouflage
+   or PARTS site signs the same triple on every call at the same depth,
+   so the steady state skips the cipher and the pointer-layout
+   arithmetic. The key itself is not compared: any change of its value
+   advances [key_gen] ([set_sysreg], [restore]). A hit replays the
+   miss's outcome exactly, auth-failure count included. *)
+type pauth_cache = {
+  pc_words : Bytes.t;
+  mutable pc_gen : int;
+  mutable pc_failed : bool;
+}
+
+let fresh_pauth_cache () = { pc_words = Bytes.create 24; pc_gen = -1; pc_failed = false }
+
+let[@inline] pauth_hit t (c : pauth_cache) ptr modifier =
+  c.pc_gen = t.key_gen
+  && Int64.equal (Bytes.get_int64_le c.pc_words 0) ptr
+  && Int64.equal (Bytes.get_int64_le c.pc_words 8) modifier
+
+let pauth_fill t (c : pauth_cache) ptr modifier ~failed result =
+  Bytes.set_int64_le c.pc_words 0 ptr;
+  Bytes.set_int64_le c.pc_words 8 modifier;
+  Bytes.set_int64_le c.pc_words 16 result;
+  c.pc_failed <- failed;
+  c.pc_gen <- t.key_gen
+
+let cached_pac t key c ptr modifier =
+  if not (pauth_hit t c ptr modifier) then
+    pauth_fill t c ptr modifier ~failed:false
+      (Pac.compute ~cipher:t.cipher ~key:(pac_key t key) ~cfg:(pointer_cfg t ptr)
+         ~modifier ptr);
+  Bytes.get_int64_le c.pc_words 16
+
+let cached_aut t key c ptr modifier =
+  if not (pauth_hit t c ptr modifier) then begin
+    match
+      Pac.auth ~cipher:t.cipher ~key:(pac_key t key) ~cfg:(pointer_cfg t ptr) ~modifier
+        ptr
+    with
+    | Ok stripped -> pauth_fill t c ptr modifier ~failed:false stripped
+    | Error poisoned -> pauth_fill t c ptr modifier ~failed:true poisoned
+  end;
+  if c.pc_failed then auth_failed t;
+  Bytes.get_int64_le c.pc_words 16
+
 (* Compile one instruction into an op that tail-calls [k]. Only the
-   six memory ops are specialized: their per-op page cache (above)
-   skips the micro-TLB probe, and without it the traces tier loses
-   about a third of its guest MIPS on the E2 call probe. Every other
+   six memory ops and the enabled PAC/AUT forms are specialized: the
+   memory ops' per-op page cache (above) skips the micro-TLB probe, and
+   without it the traces tier loses about a third of its guest MIPS on
+   the E2 call probe; the PAC/AUT ops' result cache skips the cipher,
+   which is most of a protected call's host time. Every other
    compilable instruction shares [execute] — re-running a block still
    skips fetch, decode and the cost match, and hand-specialized ALU
    and branch closures measured no faster (DESIGN.md, "Execution
-   tiers"). [cost_of] is constant for every compilable class — the
-   dynamic-cost instructions are all in [is_cut]. *)
+   tiers"). [cost_of] and [pauth_enabled] are fixed at compile time:
+   the SCTLR enable bits they read only change together with a trace
+   flush. *)
 let compile_op t insn ~next ~self k =
   let cost = cost_of t insn in
   let el = t.el in
+  let pauth_op key ~aut rd rm =
+    let get_d = op_get t el rd and set_d = op_set t el rd and get_m = op_get t el rm in
+    let c = fresh_pauth_cache () in
+    if aut then fun () ->
+      retire t insn cost;
+      set_d (cached_aut t key c (get_d ()) (get_m ()));
+      t.pc <- next;
+      k ()
+    else fun () ->
+      retire t insn cost;
+      set_d (cached_pac t key c (get_d ()) (get_m ()));
+      t.pc <- next;
+      k ()
+  in
   match insn with
+  | Insn.Pac (key, rd, rm) when pauth_enabled t key -> pauth_op key ~aut:false rd rm
+  | Insn.Aut (key, rd, rm) when pauth_enabled t key -> pauth_op key ~aut:true rd rm
+  | Insn.Pac1716 key when pauth_enabled t key ->
+      pauth_op key ~aut:false Insn.ip1 Insn.ip0
+  | Insn.Aut1716 key when pauth_enabled t key ->
+      pauth_op key ~aut:true Insn.ip1 Insn.ip0
   | Insn.Ldr (rd, m) ->
       let addr = op_addr t el m and set_d = op_set t el rd in
       let icache = t.icache in
@@ -950,6 +1042,8 @@ let max_block_len = 256
      PC already set from the real LR — when it does not. The walk then
      continues at the predicted return site, so a call-heavy loop body
      becomes one block instead of three;
+   - PAC and AUT compile like any other op, so a protected function's
+     prologue and epilogue inline with its body.
    Conditional and indirect branches still terminate the block (an
    unrolling variant that followed predicted conditional edges measured
    {e slower}: the unrolled copies defeat the cache residency of a
@@ -1095,8 +1189,8 @@ let run_traces t tr max_insns =
   and step_once budget =
     (* cold or cut code: one stepped instruction. The next PC is a
        compilation candidate when control transferred or when we
-       just crossed a cut instruction (so the region after a PAC/
-       AUT boundary still becomes a block). *)
+       just crossed a cut instruction (so the region after an MSR or
+       an authenticated branch still becomes a block). *)
     let fall = Int64.add t.pc 4L in
     let insn = step_insn t in
     go_boundary (budget - 1) (is_cut insn || not (Int64.equal t.pc fall))
@@ -1224,6 +1318,7 @@ let restore t c =
   t.trace_pos <- c.c_trace_pos;
   t.step_hook <- c.c_step_hook;
   t.last_run_tier <- c.c_last_run_tier;
+  t.key_gen <- t.key_gen + 1;
   (* compiled blocks may shadow state the restore just rewrote; the
      Mem-hook and generation channels catch most of it, but a flush
      here makes restore unconditional, mirroring Machine.restore's

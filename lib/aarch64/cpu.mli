@@ -121,7 +121,13 @@ val pointer_cfg : t -> int64 -> Vaddr.config
 val reg : t -> Insn.reg -> int64
 val set_reg : t -> Insn.reg -> int64 -> unit
 val sysreg : t -> Sysreg.t -> int64
+
+(** [set_sysreg t sr v] writes a system register. An MMU-control
+    (TTBR0/TTBR1/SCTLR) or CONTEXTIDR write flushes the icache and the
+    trace cache; a write that changes a PAuth key's value retires the
+    compiled PAC/AUT ops' cached results instead. *)
 val set_sysreg : t -> Sysreg.t -> int64 -> unit
+
 val pc : t -> int64
 val set_pc : t -> int64 -> unit
 val el : t -> El.t

@@ -73,6 +73,9 @@ let rel name ~pc target bits =
 
 let target_of ~pc words = Int64.add pc (Int64.of_int (words * 4))
 
+(* A BFI/UBFX field must be non-empty and end at or below bit 63. *)
+let bitfield_ok ~lsb ~width = width >= 1 && lsb + width <= 64
+
 (* Opcode numbers; bits [31:26] of the word. *)
 let op_nop = 0
 let op_movz = 1
@@ -169,11 +172,11 @@ let encode ~pc insn =
       pack op_lsl_imm [ (r rd, 20); (r rn, 14); (ufield "shift" sh 6, 8) ]
   | Insn.Lsr_imm (rd, rn, sh) ->
       pack op_lsr_imm [ (r rd, 20); (r rn, 14); (ufield "shift" sh 6, 8) ]
-  | Insn.Bfi (rd, rn, lsb, w) ->
-      pack op_bfi [ (r rd, 20); (r rn, 14); (ufield "lsb" lsb 6, 8); (ufield "width" w 7, 1) ]
-  | Insn.Ubfx (rd, rn, lsb, w) ->
-      pack op_ubfx
-        [ (r rd, 20); (r rn, 14); (ufield "lsb" lsb 6, 8); (ufield "width" w 7, 1) ]
+  | Insn.Bfi (rd, rn, lsb, w) | Insn.Ubfx (rd, rn, lsb, w) ->
+      let op = match insn with Insn.Bfi _ -> op_bfi | _ -> op_ubfx in
+      let lsb = ufield "lsb" lsb 6 and w = ufield "width" w 7 in
+      if not (bitfield_ok ~lsb ~width:w) then fail "bitfield lsb %d width %d" lsb w;
+      pack op [ (r rd, 20); (r rn, 14); (lsb, 8); (w, 1) ]
   | Insn.Adr (rd, target) -> pack op_adr [ (r rd, 20); (rel "adr" ~pc target 19, 0) ]
   | Insn.Ldr (rd, m) -> pack op_ldr ((r rd, 20) :: amode_fields m 14 0 12 1)
   | Insn.Str (rs, m) -> pack op_str ((r rs, 20) :: amode_fields m 14 0 12 1)
@@ -272,14 +275,13 @@ let decode ~pc word =
       let* rd = reg 20 in
       let* rn = reg 14 in
       Some (Insn.Lsr_imm (rd, rn, field 8 6))
-  | 15 ->
+  | 15 | 16 ->
       let* rd = reg 20 in
       let* rn = reg 14 in
-      Some (Insn.Bfi (rd, rn, field 8 6, field 1 7))
-  | 16 ->
-      let* rd = reg 20 in
-      let* rn = reg 14 in
-      Some (Insn.Ubfx (rd, rn, field 8 6, field 1 7))
+      let lsb = field 8 6 and width = field 1 7 in
+      if not (bitfield_ok ~lsb ~width) then None
+      else if op = 15 then Some (Insn.Bfi (rd, rn, lsb, width))
+      else Some (Insn.Ubfx (rd, rn, lsb, width))
   | 17 ->
       let* rd = reg 20 in
       Some (Insn.Adr (rd, rel19 ()))

@@ -28,7 +28,8 @@
 type 'code t
 
 (** A compiled superblock: straight-line code starting at [bk_entry],
-    cut at PAC/AUT boundaries and exception-raising instructions (the
+    cut at system-register traffic, authenticated branches and
+    exception-raising instructions (the
     compiler may walk through unconditional direct branches, so a block
     can span calls). Blocks die in place ([bk_live] turns false) rather
     than being removed, so a driver mid-block can observe invalidation

@@ -113,6 +113,46 @@ let prop_junk_decode_total =
       match Encode.decode ~pc word with
       | Some _ | None -> true)
 
+(* A bitfield word whose field is empty or runs past bit 63 is not an
+   instruction: it decodes to None and executing it is an undefined-
+   instruction fault on every tier, not a host exception. *)
+let bitfield_word ~op ~lsb ~width =
+  (* rd = x0, rn = x1 *)
+  Int32.of_int ((op lsl 26) lor (1 lsl 14) lor (lsb lsl 8) lor (width lsl 1))
+
+let bad_bitfields = [ (0, 0); (63, 0); (1, 64); (32, 33); (63, 2); (0, 127) ]
+
+let test_bad_bitfield_undefined () =
+  List.iter
+    (fun op ->
+      Alcotest.(check bool) "in-range field decodes" true
+        (Encode.decode ~pc (bitfield_word ~op ~lsb:0 ~width:64) <> None);
+      List.iter
+        (fun (lsb, width) ->
+          let word = bitfield_word ~op ~lsb ~width in
+          Alcotest.(check bool)
+            (Printf.sprintf "op %d lsb %d width %d is undefined" op lsb width)
+            true
+            (Encode.decode ~pc word = None);
+          List.iter
+            (fun tier ->
+              let cpu = Bare.machine ~tier () in
+              Mem.write32 (Cpu.mem cpu) (Bare.pa_of_va Bare.code_base) word;
+              let expected =
+                Cpu.Fault { fault = Cpu.Undefined_instruction word; pc = Bare.code_base }
+              in
+              Alcotest.(check string)
+                (Printf.sprintf "%s: op %d lsb %d width %d faults" (Cpu.tier_name tier)
+                   op lsb width)
+                (Cpu.stop_to_string expected)
+                (Cpu.stop_to_string (Cpu.call cpu Bare.code_base)))
+            Cpu.all_tiers)
+        bad_bitfields)
+    [ 15; 16 ];
+  Alcotest.check_raises "unencodable bitfield"
+    (Encode.Unencodable "bitfield lsb 60 width 8")
+    (fun () -> ignore (Encode.encode ~pc (Insn.Ubfx (Insn.R 0, Insn.R 1, 60, 8))))
+
 let suite =
   [
     Alcotest.test_case "roundtrip all instruction forms" `Quick test_roundtrip;
@@ -120,4 +160,6 @@ let suite =
     Alcotest.test_case "branch range check" `Quick test_out_of_range_branch;
     Alcotest.test_case "sysreg scan property" `Quick test_sysreg_scan_property;
     QCheck_alcotest.to_alcotest prop_junk_decode_total;
+    Alcotest.test_case "out-of-range bitfield is undefined on every tier" `Quick
+      test_bad_bitfield_undefined;
   ]

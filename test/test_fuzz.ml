@@ -138,24 +138,46 @@ let prop_no_benign_panic =
 
    Random bare-metal programs — arithmetic (XZR and SP operands
    included), bounded loads/stores of every width and addressing mode,
-   forward conditional skips, PAC/AUT round trips, stack push/pop pairs
-   and (optionally) a self-patching store — wrapped in a loop hot
-   enough to cross the trace compiler's threshold, executed under all
-   three tiers and once more on the traces tier with a pass-through
-   step hook, which forces the stepped loop. The observable is the
-   stop reason plus the whole-machine state fingerprint
-   ({!Snapshot.Fingerprint.of_machine}: registers, flags, cycle and
-   retirement totals, system registers, every non-zero memory frame,
-   both translation stages), so any divergence the trace compiler
-   could introduce — wrong retirement count, stale code after
-   a self-patch, a mis-costed instruction — fails the property.
+   forward conditional skips, pointer-authentication sequences, stack
+   push/pop pairs and (optionally) a self-patching store — wrapped in a
+   loop hot enough to cross the trace compiler's threshold, executed
+   under all three tiers and once more on the traces tier with a
+   pass-through step hook, which forces the stepped loop. The
+   observable is the stop reason plus the whole-machine state
+   fingerprint ({!Snapshot.Fingerprint.of_machine}: registers, flags,
+   cycle and retirement totals, system registers, every non-zero
+   memory frame, both translation stages), so any divergence the
+   trace compiler could introduce — wrong retirement count, stale code
+   after a self-patch, a mis-costed instruction, a stale cached PAC —
+   fails the property. The interp run and the hooked run also carry a
+   telemetry sink, and their counter files (auth failures included)
+   must agree.
+
+   The PAC sequences cover every in-block PAC form (PAC/AUT, the 1716
+   forms, XPAC), an AUT under the wrong modifier (the poison path),
+   key rewrites between two signings of the same pointer under a fixed
+   modifier — a changed key must miss every compiled op's result cache, a
+   re-installed one may hit — and SCTLR enable-bit toggles, which flip
+   the key off and on across recompilations.
 
    Register discipline keeps random programs well-defined: R0-R5 are
-   arithmetic scratch, R8/R9 carry the self-patch word and victim
-   address, R10 points at the data region, R11 is the loop counter,
-   R12/R13 are PAC scratch, R14 is the writeback base for memory runs. *)
+   arithmetic scratch, R7 and R15 are system-register scratch, R8/R9
+   carry the self-patch word and victim address, R10 points at the data
+   region, R11 is the loop counter, R12/R13 (and ip0/ip1 for the 1716
+   forms) are PAC scratch, R14 is the writeback base for memory runs. *)
 
 open Aarch64
+
+(* What a [Pac_pair] does with its key; see [emit_fitem]. *)
+type pac_form =
+  | Round_trip  (* sign + authenticate *)
+  | Wrong_modifier  (* authenticate under modifier + 1: poisoned *)
+  | Form_1716  (* PAC1716 + AUT1716 on ip1 with ip0 *)
+  | Strip  (* sign, fold the signed pointer, XPAC *)
+  | Rekey of { hi : bool; same : bool }
+      (* sign, rewrite one key half (with its own value when [same]),
+         authenticate the old signature, sign the same pointer again *)
+  | Toggle  (* flip the key's SCTLR enable bit every 32nd trip, then sign + auth *)
 
 type fitem =
   | Arith of Insn.t
@@ -166,7 +188,7 @@ type fitem =
   | Skip_z of int * Insn.t list  (* cbz R(n) over the protected run *)
   | Skip_nz of int * Insn.t list
   | Skip_cond of Insn.cond * Insn.t list
-  | Pac_pair of Sysreg.pauth_key  (* sign + authenticate, result folded in *)
+  | Pac_pair of Sysreg.pauth_key * pac_form  (* results folded into R1 *)
   | Pacga_mix
   | Patch  (* store R8 over the victim pair (selfmod programs only) *)
 
@@ -276,7 +298,19 @@ let gen_fitem =
             (fun c is -> Skip_cond (c, is))
             (oneofl Insn.[ Eq; Ne; Lt; Ge; Gt; Le ])
             protected_run );
-        (1, map (fun k -> Pac_pair k) (oneofl Sysreg.[ IA; IB; DA; DB ]));
+        ( 2,
+          map2
+            (fun k f -> Pac_pair (k, f))
+            (oneofl Sysreg.[ IA; IB; DA; DB ])
+            (oneof
+               [
+                 return Round_trip;
+                 return Wrong_modifier;
+                 return Form_1716;
+                 return Strip;
+                 map2 (fun hi same -> Rekey { hi; same }) bool bool;
+                 return Toggle;
+               ]) );
         (1, return Pacga_mix);
       ])
 
@@ -312,7 +346,18 @@ let fitem_to_string = function
   | Skip_cond (_, is) ->
       Printf.sprintf "skip-cond [%s]"
         (String.concat "; " (List.map Insn.to_string is))
-  | Pac_pair k -> "pac/aut " ^ Sysreg.name (fst (Sysreg.key_halves k))
+  | Pac_pair (k, f) ->
+      Printf.sprintf "pac/aut %s %s"
+        (Sysreg.name (fst (Sysreg.key_halves k)))
+        (match f with
+        | Round_trip -> "round-trip"
+        | Wrong_modifier -> "wrong-modifier"
+        | Form_1716 -> "1716"
+        | Strip -> "xpac"
+        | Rekey { hi; same } ->
+            Printf.sprintf "rekey(%s,%s)" (if hi then "hi" else "lo")
+              (if same then "same" else "new")
+        | Toggle -> "sctlr-toggle")
   | Pacga_mix -> "pacga"
   | Patch -> "self-patch"
 
@@ -351,17 +396,53 @@ let emit_fitem fresh = function
       let l = fresh () in
       ( (Asm.bcond_to c l :: List.map Asm.ins is) @ [ Asm.label l ],
         1 + List.length is )
-  | Pac_pair k ->
-      (* sign the data pointer under the loop counter, authenticate it
-         back (guaranteed to succeed) and fold the result into R1 *)
-      ( [
-          Asm.ins (Insn.Mov (Insn.R 12, Insn.R 10));
-          Asm.ins (Insn.Mov (Insn.R 13, Insn.R 11));
-          Asm.ins (Insn.Pac (k, Insn.R 12, Insn.R 13));
-          Asm.ins (Insn.Aut (k, Insn.R 12, Insn.R 13));
-          Asm.ins (Insn.Add_reg (Insn.R 1, Insn.R 1, Insn.R 12));
-        ],
-        5 )
+  | Pac_pair (k, form) ->
+      let open Insn in
+      (* the data pointer signed under the loop counter *)
+      let sign = [ Mov (R 12, R 10); Mov (R 13, R 11); Pac (k, R 12, R 13) ] in
+      let fold r = Add_reg (R 1, R 1, r) in
+      let plain insns = (List.map Asm.ins insns, List.length insns) in
+      (match form with
+      | Round_trip -> plain (sign @ [ Aut (k, R 12, R 13); fold (R 12) ])
+      | Wrong_modifier ->
+          plain
+            (sign @ [ Add_imm (R 13, R 13, 1); Aut (k, R 12, R 13); fold (R 12) ])
+      | Form_1716 ->
+          plain [ Mov (ip1, R 10); Mov (ip0, R 11); Pac1716 k; Aut1716 k; fold ip1 ]
+      | Strip -> plain (sign @ [ Eor_reg (R 2, R 2, R 12); Xpac (R 12); fold (R 12) ])
+      | Rekey { hi; same } ->
+          (* a fixed modifier (R10): only the key differs between the
+             trips' signings of this pointer *)
+          let hi_reg, lo_reg = Sysreg.key_halves k in
+          let half = if hi then hi_reg else lo_reg in
+          plain
+            ([ Mov (R 12, R 10); Pac (k, R 12, R 10); Mrs (R 15, half) ]
+            @ (if same then [] else [ Eor_reg (R 15, R 15, R 11) ])
+            @ [
+                Msr (half, R 15);
+                Aut (k, R 12, R 10);
+                fold (R 12);
+                Mov (R 12, R 10);
+                Pac (k, R 12, R 10);
+                fold (R 12);
+              ])
+      | Toggle ->
+          let bit = Sysreg.sctlr_enable_bit k in
+          let l = fresh () in
+          let toggle, n =
+            plain
+              [
+                (if bit >= 16 then Movz (R 15, 1 lsl (bit - 16), 16)
+                 else Movz (R 15, 1 lsl bit, 0));
+                Mrs (R 7, Sysreg.SCTLR_EL1);
+                Eor_reg (R 7, R 7, R 15);
+                Msr (Sysreg.SCTLR_EL1, R 7);
+              ]
+          in
+          let tail, m = plain (sign @ [ Aut (k, R 12, R 13); fold (R 12) ]) in
+          ( (Asm.ins (Ubfx (R 15, R 11, 0, 5)) :: Asm.cbnz_to (R 15) l :: toggle)
+            @ (Asm.label l :: tail),
+            2 + n + m ))
   | Pacga_mix ->
       ( [
           Asm.ins (Insn.Pacga (Insn.R 13, Insn.R 0, Insn.R 1));
@@ -434,26 +515,39 @@ let emit_fprog p =
       ]);
   prog
 
-let run_fprog ?(hooked = false) ~tier p =
+(* [observed] attaches a telemetry sink; the third result is its
+   counter file ("" without one). *)
+let run_fprog ?(hooked = false) ?(observed = false) ~tier p =
   let m = Bare.smp ~seed:11L ~tier () in
   let cpu = Machine.boot_core m in
   if hooked then Cpu.set_step_hook cpu (Some (fun _ ~pc:_ _ -> Cpu.Exec));
+  let sink = if observed then Some (Telemetry.Sink.create ~cpu:0 ()) else None in
+  Option.iter (Cpu.attach_telemetry cpu) sink;
   if p.selfmod then
     Bare.map_region cpu ~base:Bare.code_base ~pages:16 Mmu.rwx;
   let layout = Bare.load cpu (emit_fprog p) in
   let stop = Bare.call ~max_insns:200_000 cpu layout "fuzz" in
-  (Cpu.stop_to_string stop, Snapshot.Fingerprint.of_machine m)
+  let counters =
+    match sink with
+    | None -> ""
+    | Some s ->
+        Telemetry.Counters.to_json
+          (Telemetry.Counters.snapshot (Telemetry.Sink.counters s))
+  in
+  (Cpu.stop_to_string stop, Snapshot.Fingerprint.of_machine m, counters)
 
 let prop_three_tier =
   QCheck2.Test.make
     ~name:"random programs: interp = icache = traces (stop + fingerprint)"
     ~count:200 ~print:print_fprog gen_fprog (fun p ->
-      let stop_i, fp_i = run_fprog ~tier:Cpu.Interp p in
-      let stop_c, fp_c = run_fprog ~tier:Cpu.Icache p in
-      let stop_t, fp_t = run_fprog ~tier:Cpu.Traces p in
-      let stop_h, fp_h = run_fprog ~hooked:true ~tier:Cpu.Traces p in
+      let stop_i, fp_i, ctr_i = run_fprog ~observed:true ~tier:Cpu.Interp p in
+      let stop_c, fp_c, _ = run_fprog ~tier:Cpu.Icache p in
+      let stop_t, fp_t, _ = run_fprog ~tier:Cpu.Traces p in
+      let stop_h, fp_h, ctr_h =
+        run_fprog ~hooked:true ~observed:true ~tier:Cpu.Traces p
+      in
       stop_i = stop_c && stop_c = stop_t && stop_t = stop_h && fp_i = fp_c
-      && fp_c = fp_t && fp_t = fp_h)
+      && fp_c = fp_t && fp_t = fp_h && ctr_i = ctr_h)
 
 (* Telemetry is pure observation in every tier: booting the kernel with
    counters on and running a random syscall sequence must produce the

@@ -93,17 +93,25 @@ let test_diff_hot_loop () =
 
 (* ---------- differential: call-heavy instrumented workload ---------- *)
 
-let run_calls config ~tier =
+let calls_per_batch = 400
+
+let call_caller cpu layout =
+  match Bare.call ~max_insns:1_000_000 cpu layout "caller" with
+  | Cpu.Sentinel_return -> ()
+  | s -> Alcotest.failf "calls workload stopped: %s" (Cpu.stop_to_string s)
+
+let load_calls config ~tier =
   let cpu = Bare.machine ~seed:9L ~tier () in
-  let obj = Workloads.Calls.calls_object config ~calls:400 in
+  let obj = Workloads.Calls.calls_object config ~calls:calls_per_batch in
   let prog = Asm.create () in
   List.iter
     (fun (name, items) -> Asm.add_function prog ~name items)
     obj.O.functions;
-  let layout = Bare.load cpu prog in
-  (match Bare.call ~max_insns:1_000_000 cpu layout "caller" with
-  | Cpu.Sentinel_return -> ()
-  | s -> Alcotest.failf "calls workload stopped: %s" (Cpu.stop_to_string s));
+  (cpu, Bare.load cpu prog)
+
+let run_calls config ~tier =
+  let cpu, layout = load_calls config ~tier in
+  call_caller cpu layout;
   cpu
 
 let test_diff_call_workload () =
@@ -119,6 +127,99 @@ let test_diff_call_workload () =
           if tier = Cpu.Traces then check_traces_engaged cpu)
         all_tiers)
     [ C.Config.none; C.Config.backward_only ]
+
+(* PAC and AUT compile in-block, so a warm Camouflage-protected call —
+   prologue PAC, inlined body, epilogue AUT, guarded return — is one
+   superblock: one dispatch per loop trip. *)
+let test_protected_one_dispatch_per_call () =
+  let calls = calls_per_batch in
+  let cpu, layout = load_calls C.Config.backward_only ~tier:Cpu.Traces in
+  (* the first batch warms the icache and compiles the blocks *)
+  call_caller cpu layout;
+  let s0 = tstats cpu and i0 = Cpu.insns_retired cpu in
+  call_caller cpu layout;
+  let s1 = tstats cpu in
+  let dispatches = s1.Traces.executed - s0.Traces.executed in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d dispatches for %d calls" dispatches calls)
+    true
+    (dispatches >= calls && dispatches <= calls + 2);
+  (* only the caller's once-per-batch epilogue is too cold to compile *)
+  let stepped =
+    Int64.to_int (Int64.sub (Cpu.insns_retired cpu) i0)
+    - (s1.Traces.block_insns - s0.Traces.block_insns)
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d instructions stepped outside blocks" stepped)
+    true (stepped <= 32)
+
+(* ---------- key changes under compiled PAC/AUT ---------- *)
+
+(* A hot loop that authenticates the signature the previous call left
+   in memory and signs the same pointer under a fixed modifier again:
+   after a host-side key change the compiled ops' result caches must miss
+   (new signature, old one rejected), and after a snapshot restore
+   brings the old key back they must miss again. Every call's results
+   must equal the interp tier's. *)
+let rekey_prog () =
+  let prog = Asm.create () in
+  Asm.add_function prog ~name:"sign"
+    (mov_abs (Insn.R 10) Bare.data_base
+    @ [
+        Asm.ins (Insn.Movz (Insn.R 11, 40, 0));
+        Asm.label "loop";
+        Asm.ins (Insn.Ldr (Insn.R 13, Insn.Off (Insn.R 10, 8)));
+        Asm.ins (Insn.Aut (Sysreg.IA, Insn.R 13, Insn.R 10));
+        Asm.ins (Insn.Mov (Insn.R 12, Insn.R 10));
+        Asm.ins (Insn.Pac (Sysreg.IA, Insn.R 12, Insn.R 10));
+        Asm.ins (Insn.Sub_imm (Insn.R 11, Insn.R 11, 1));
+        Asm.cbnz_to (Insn.R 11) "loop";
+        Asm.ins (Insn.Str (Insn.R 12, Insn.Off (Insn.R 10, 8)));
+        Asm.ins (Insn.Mov (Insn.R 0, Insn.R 12));
+        Asm.ins (Insn.Mov (Insn.R 1, Insn.R 13));
+        Asm.ins Insn.Ret;
+      ]);
+  prog
+
+let run_rekey ~tier =
+  let m = Bare.smp ~seed:7L ~tier () in
+  let cpu = Machine.boot_core m in
+  let layout = Bare.load cpu (rekey_prog ()) in
+  let call () =
+    (match Bare.call cpu layout "sign" with
+    | Cpu.Sentinel_return -> ()
+    | s -> Alcotest.failf "sign stopped: %s" (Cpu.stop_to_string s));
+    (Cpu.reg cpu (Insn.R 0), Cpu.reg cpu (Insn.R 1))
+  in
+  let first = call () in
+  let same_key = call () in
+  let snap = Machine.snapshot m in
+  let _, lo = Sysreg.key_halves Sysreg.IA in
+  Cpu.set_sysreg cpu lo (Int64.logxor (Cpu.sysreg cpu lo) 0x5a5aL);
+  let new_key = call () in
+  Machine.restore m snap;
+  let restored = call () in
+  (cpu, [ first; same_key; new_key; restored ])
+
+let test_host_key_change () =
+  let cpu, tr = run_rekey ~tier:Cpu.Traces in
+  check_traces_engaged cpu;
+  (match tr with
+  | [ _; (sig2, auth2); (sig3, auth3); (sig4, auth4) ] ->
+      Alcotest.(check int64) "unchanged key: stored signature authenticates"
+        Bare.data_base auth2;
+      Alcotest.(check bool) "new key signs differently" true (sig3 <> sig2);
+      Alcotest.(check bool) "new key rejects the old signature" true
+        (auth3 <> Bare.data_base);
+      Alcotest.(check int64) "restored key signs as before" sig2 sig4;
+      Alcotest.(check int64) "restored key authenticates" Bare.data_base auth4
+  | _ -> Alcotest.fail "expected four calls");
+  List.iter
+    (fun tier ->
+      let _, got = run_rekey ~tier in
+      Alcotest.(check (list (pair int64 int64)))
+        (Cpu.tier_name tier ^ " = traces") tr got)
+    [ Cpu.Interp; Cpu.Icache ]
 
 (* ---------- self-patching store inside an active superblock ---------- *)
 
@@ -500,6 +601,10 @@ let suite =
       test_diff_hot_loop;
     Alcotest.test_case "differential: call-heavy workload across tiers" `Quick
       test_diff_call_workload;
+    Alcotest.test_case "protected call probe: one dispatch per call" `Quick
+      test_protected_one_dispatch_per_call;
+    Alcotest.test_case "host key change and restore under compiled PAC/AUT" `Quick
+      test_host_key_change;
     Alcotest.test_case "self-patching store inside an active superblock" `Quick
       test_selfmod_active_superblock;
     Alcotest.test_case "module unload/reload mid-trace" `Quick
