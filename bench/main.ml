@@ -1,15 +1,16 @@
 (* Benchmark harness: regenerates every table and figure of the paper's
-   evaluation (E1-E9 of DESIGN.md) plus the ablations (A1-A4), and can
-   additionally run Bechamel wall-time measurements of the simulator
-   itself.
+   evaluation (E1-E10 of DESIGN.md) plus the ablations (A1-A6), and
+   measures the simulator itself on the host.
 
    Usage:
      main.exe            run every experiment
      main.exe e2 e3      run selected experiments
      main.exe e9         SMP syscall-throughput scaling (simulated cores)
-     main.exe parallel   Domain-parallel wall-clock scaling
+     main.exe sim        guest MIPS per execution tier
      main.exe qarma      host ns and minor words per QARMA encrypt
-     main.exe bechamel   run the Bechamel wall-time suite
+     main.exe snapshot   snapshot capture/restore and fork-vs-boot rates
+     main.exe fleet      work-stealing engine jobs/sec across domains
+     main.exe lint       whole-image analyzer wall time and census
 
    Any invocation additionally accepts [--json FILE]: every
    deterministic number the selected experiments print is also written
@@ -700,33 +701,6 @@ let e10 () =
     (armed_wall *. 1e3)
     (if plain_wall > 0.0 then armed_wall /. plain_wall else 0.0);
 
-  (* Fork-vs-boot: the same trial indices, once via a snapshot session
-     (boot once, restore per trial) and once via boot-per-trial. The
-     trial records are bit-identical (the fleet test pins this); only
-     the wall clock is allowed to differ. *)
-  let fork_trials = 16 in
-  let golden = Faultinj.Campaign.golden_run ~seed () in
-  let t0 = Unix.gettimeofday () in
-  for index = 0 to fork_trials - 1 do
-    ignore (Faultinj.Campaign.run_random_trial ~golden ~seed ~index ())
-  done;
-  let boot_wall = Unix.gettimeofday () -. t0 in
-  let ses = Faultinj.Campaign.create_session ~seed () in
-  let t0 = Unix.gettimeofday () in
-  for index = 0 to fork_trials - 1 do
-    ignore (Faultinj.Campaign.run_random_trial_in ses ~index ())
-  done;
-  let fork_wall = Unix.gettimeofday () -. t0 in
-  let fork_speedup = if fork_wall > 0.0 then boot_wall /. fork_wall else 0.0 in
-  row "\nboot-once-fork-N vs boot-per-trial (%d trials):\n" fork_trials;
-  row "  boot-per-trial: %.1f ms   snapshot-forked: %.1f ms   speedup %.2fx\n"
-    (boot_wall *. 1e3) (fork_wall *. 1e3) fork_speedup;
-  metric ~experiment:"e10" ~name:"fork-speedup" ~value:fork_speedup
-    ~unit_:"ratio";
-  metric ~experiment:"e10" ~name:"fork-trials-per-sec"
-    ~value:(if fork_wall > 0.0 then float_of_int fork_trials /. fork_wall else 0.0)
-    ~unit_:"trials/s";
-
   row "\n";
   print_string (Faultinj.Campaign.demo_to_string (Faultinj.Campaign.quarantine_demo ~seed ()));
   row "\nthe baseline run crosses the brute-force threshold and halts; with\n";
@@ -734,10 +708,11 @@ let e10 () =
   row "keeps serving the surviving tasks on the healthy core.\n"
 
 (* SNAPSHOT: the copy-on-write capture/restore primitive behind fleet
-   sessions and record-replay. Three numbers: the cost of capturing a
+   sessions and record-replay. Four numbers: the cost of capturing a
    booted machine, the clean-restore rate (nothing dirtied — the CoW
-   fast path), and the dirty-restore rate after a full workload run
-   (every touched frame blitted back). *)
+   fast path), the dirty-restore rate after a full workload run (every
+   touched frame blitted back), and what that buys a fault campaign
+   against booting per trial. *)
 let snapshot_bench () =
   header "SNAPSHOT copy-on-write capture and restore throughput";
   let seed = 42L in
@@ -785,50 +760,34 @@ let snapshot_bench () =
     ~unit_:"ops/s";
   row "\ncapture copies every frame eagerly; restore pays only for frames\n";
   row "dirtied since the snapshot (write hooks track them), which is what\n";
-  row "makes boot-once-fork-N campaigns cheap.\n"
+  row "makes boot-once-fork-N campaigns cheap.\n";
 
-(* Parallel mode: N independent single-core systems on real OCaml 5
-   domains — wall-clock scaling of the simulator itself. Unlike E9
-   (simulated parallel time on one interpreter), this uses the host's
-   actual cores, so the measured speedup is hardware-limited. *)
-let parallel () =
-  header "Parallel: independent systems on OCaml domains (wall clock)";
-  let host = Domain.recommended_domain_count () in
-  let systems_per_run = 4 in
-  let run_system idx =
-    let p =
-      Workloads.Smp.run_point
-        ~seed:(Int64.of_int (1000 + idx))
-        ~cpus:1 ~tasks:4 ~rounds:40 ()
-    in
-    p.Workloads.Smp.all_exited
-  in
-  let work domains =
-    (* the same total work (systems_per_run systems), split across
-       [domains] domains *)
-    let t0 = Unix.gettimeofday () in
-    let chunk d =
-      List.init (systems_per_run / domains) (fun i -> run_system ((d * 8) + i))
-    in
-    let spawned = List.init domains (fun d -> Domain.spawn (fun () -> chunk d)) in
-    let ok = List.for_all (List.for_all Fun.id) (List.map Domain.join spawned) in
-    (Unix.gettimeofday () -. t0, ok)
-  in
-  ignore (work 1);
-  (* warmed up *)
-  let base, _ = work 1 in
-  List.iter
-    (fun domains ->
-      let dt, ok = work domains in
-      let speedup = base /. dt in
-      row "%d domain%s: %6.3f s for %d systems, speedup %5.2fx%s\n" domains
-        (if domains = 1 then " " else "s")
-        dt systems_per_run speedup
-        (if ok then "" else "  [INCOMPLETE]"))
-    (List.filter (fun d -> d <= systems_per_run) [ 1; 2; 4 ]);
-  row "\nhost offers %d core%s (Domain.recommended_domain_count); wall-clock\n" host
-    (if host = 1 then "" else "s");
-  row "speedup is bounded by that, independent of the simulated machine.\n"
+  (* Fork-vs-boot: the same trial indices, once via a snapshot session
+     (boot once, restore per trial) and once via boot-per-trial. The
+     trial records are bit-identical (the fleet test pins this); only
+     the wall clock is allowed to differ. *)
+  let fork_trials = 16 in
+  let golden = Faultinj.Campaign.golden_run ~seed () in
+  let t0 = Unix.gettimeofday () in
+  for index = 0 to fork_trials - 1 do
+    ignore (Faultinj.Campaign.run_random_trial ~golden ~seed ~index ())
+  done;
+  let boot_wall = Unix.gettimeofday () -. t0 in
+  let ses = Faultinj.Campaign.create_session ~seed () in
+  let t0 = Unix.gettimeofday () in
+  for index = 0 to fork_trials - 1 do
+    ignore (Faultinj.Campaign.run_random_trial_in ses ~index ())
+  done;
+  let fork_wall = Unix.gettimeofday () -. t0 in
+  let fork_speedup = if fork_wall > 0.0 then boot_wall /. fork_wall else 0.0 in
+  row "\nboot-once-fork-N vs boot-per-trial (%d trials):\n" fork_trials;
+  row "  boot-per-trial: %.1f ms   snapshot-forked: %.1f ms   speedup %.2fx\n"
+    (boot_wall *. 1e3) (fork_wall *. 1e3) fork_speedup;
+  metric ~experiment:"snapshot" ~name:"fork-speedup" ~value:fork_speedup
+    ~unit_:"ratio";
+  metric ~experiment:"snapshot" ~name:"fork-trials-per-sec"
+    ~value:(if fork_wall > 0.0 then float_of_int fork_trials /. fork_wall else 0.0)
+    ~unit_:"trials/s"
 
 (* FLEET: jobs/sec scaling of the work-stealing engine itself. The job
    unit is one single-machine SMP workload point; simulated results are
@@ -882,7 +841,7 @@ let fleet () =
     results;
   metric ~experiment:"fleet" ~name:"deterministic" ~value:1.0 ~unit_:"bool";
   row "\nevery worker count produced bit-identical simulated results; the\n";
-  row "speedup column is host-hardware-limited, like the parallel experiment.\n";
+  row "speedup column is bounded by the host's cores.\n";
 
   (* Span histograms across the fleet (PR 9): a telemetry-enabled fault
      campaign per scheme, with the merged histogram JSON hard-asserted
@@ -940,7 +899,7 @@ let fleet () =
    per-function rounds run sequentially or on 2/8 work-stealing
    domains (hard failure if not); (2) scaling — a batch of whole-image
    lints fanned out over the pool, wall-clock only, bounded by host
-   cores like every parallel experiment. The census quantities of the
+   cores like every domain-parallel experiment. The census quantities of the
    colliding schemes are emitted as seeded metrics so CI can pin
    them. *)
 let lint_bench () =
@@ -1061,44 +1020,6 @@ let qarma_bench () =
     (List.length runs) ns words;
   metric ~experiment:"qarma" ~name:"encrypt-ns" ~value:ns ~unit_:"ns";
   metric ~experiment:"qarma" ~name:"encrypt-words" ~value:words ~unit_:"words"
-
-(* Bechamel wall-time suite: how fast the simulator itself is. *)
-let bechamel_suite () =
-  let open Bechamel in
-  let open Toolkit in
-  header "Bechamel: simulator wall-time per experiment unit";
-  let cipher = Qarma.Block.create () in
-  let key = Qarma.Block.key_of_pair (3L, 4L) in
-  let sys = K.System.boot ~config:C.Config.full ~seed:31L () in
-  let tests =
-    [
-      Test.make ~name:"qarma64-encrypt"
-        (Staged.stage (fun () -> Qarma.Block.encrypt cipher ~key ~tweak:5L 42L));
-      Test.make ~name:"pac-compute"
-        (Staged.stage (fun () ->
-             Pac.compute ~cipher ~key:Pac.{ hi = 3L; lo = 4L } ~cfg:Vaddr.linux_kernel
-               ~modifier:7L 0xffff000000234000L));
-      Test.make ~name:"syscall-getpid-full-cfi"
-        (Staged.stage (fun () ->
-             match K.System.syscall sys ~nr:K.Kbuild.sys_getpid ~args:[] with
-             | K.System.Ok v -> v
-             | K.System.Killed _ | K.System.Panicked _ -> -1L));
-      Test.make ~name:"call-overhead-probe"
-        (Staged.stage (fun () -> Workloads.Calls.measure_one C.Config.none ~calls:10));
-    ]
-  in
-  let grouped = Test.make_grouped ~name:"camouflage" ~fmt:"%s/%s" tests in
-  let instances = Instance.[ monotonic_clock ] in
-  let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.25) ~kde:None () in
-  let raw = Benchmark.all cfg instances grouped in
-  let ols = Analyze.ols ~r_square:true ~bootstrap:0 ~predictors:[| Measure.run |] in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  Hashtbl.iter
-    (fun name ols_result ->
-      match Analyze.OLS.estimates ols_result with
-      | Some (est :: _) -> row "%-40s %12.1f ns/run\n" name est
-      | Some [] | None -> row "%-40s %12s\n" name "n/a")
-    results
 
 (* SIM: host throughput of the interpreter itself — the one experiment
    whose headline numbers are wall-clock (guest-MIPS), measuring the
@@ -1266,7 +1187,6 @@ let experiments =
     ("snapshot", snapshot_bench);
     ("fleet", fleet);
     ("lint", lint_bench);
-    ("parallel", parallel);
     ("oracle", oracle);
     ("a1", a1);
     ("a2", a2);
@@ -1291,10 +1211,7 @@ let () =
     | [] -> (List.rev names, None)
   in
   let names, json_path = split_json [] args in
-  let lookup name =
-    if name = "bechamel" then Some bechamel_suite
-    else List.assoc_opt (String.lowercase_ascii name) experiments
-  in
+  let lookup name = List.assoc_opt (String.lowercase_ascii name) experiments in
   let runs =
     List.map
       (fun name ->
@@ -1306,8 +1223,6 @@ let () =
       names
   in
   (match runs with
-  | [] ->
-      List.iter (fun (_, f) -> f ()) experiments;
-      bechamel_suite ()
+  | [] -> List.iter (fun (_, f) -> f ()) experiments
   | runs -> List.iter (fun f -> f ()) runs);
   match json_path with None -> () | Some path -> write_metrics path

@@ -6,24 +6,28 @@ open Aarch64
 module C = Camouflage
 module K = Kernel
 
-let config_of_string = function
-  | "full" -> Ok C.Config.full
-  | "backward" -> Ok C.Config.backward_only
-  | "compat" -> Ok C.Config.compat
-  | "none" -> Ok C.Config.none
-  | "sp-only" -> Ok { C.Config.backward_only with scheme = C.Modifier.Sp_only }
-  | "parts" -> Ok { C.Config.backward_only with scheme = C.Modifier.Parts 0x7357L }
-  | "chained" -> Ok { C.Config.backward_only with scheme = C.Modifier.Chained }
-  | s -> Error (`Msg (Printf.sprintf "unknown config %S" s))
-
-let config_conv =
-  Arg.conv
-    ( config_of_string,
-      fun fmt config -> Format.pp_print_string fmt (C.Config.name config) )
-
-let config_arg =
-  let doc = "Protection configuration: full, backward, compat, none, sp-only, parts, chained." in
+(* [boots]: the command boots a kernel, so the configuration must pass
+   [System.check_config] too. *)
+let config_arg_of ~boots =
+  let parse s =
+    match C.Config.of_name s with
+    | None -> Error (`Msg (Printf.sprintf "unknown config %S" s))
+    | Some config -> (
+        match if boots then K.System.check_config config else Ok () with
+        | Ok () -> Ok config
+        | Error m -> Error (`Msg m))
+  in
+  let config_conv =
+    Arg.conv (parse, fun fmt config -> Format.pp_print_string fmt (C.Config.name config))
+  in
+  let doc =
+    "Protection configuration: full, backward, compat, none, sp-only, parts, chained."
+    ^ if boots then " A booted kernel cannot use chained (ablation A5)." else ""
+  in
   Arg.(value & opt config_conv C.Config.full & info [ "c"; "config" ] ~docv:"CONFIG" ~doc)
+
+let config_arg = config_arg_of ~boots:true
+let any_config_arg = config_arg_of ~boots:false
 
 let seed_arg =
   let doc = "PRNG seed driving key generation and synthetic inputs." in
@@ -172,7 +176,7 @@ let disasm_cmd =
       (C.Config.name config) (Asm.disassemble layout)
   in
   let doc = "Show the instrumented function shape for a configuration." in
-  Cmd.v (Cmd.info "disasm" ~doc) Term.(const run $ config_arg)
+  Cmd.v (Cmd.info "disasm" ~doc) Term.(const run $ any_config_arg)
 
 let integrity_cmd =
   let run config seed tier =
@@ -492,7 +496,7 @@ let lint_cmd =
   in
   Cmd.v (Cmd.info "lint" ~doc)
     Term.(
-      const run $ config_arg $ json_arg $ calls_arg $ gadgets_arg $ scheme_arg
+      const run $ any_config_arg $ json_arg $ calls_arg $ gadgets_arg $ scheme_arg
       $ workers_arg $ module_arg)
 
 let modgen_cmd =
@@ -516,7 +520,7 @@ let modgen_cmd =
      $(b,lint --module) workflow. A .kelf file is readable only by the \
      binary that wrote it."
   in
-  Cmd.v (Cmd.info "modgen" ~doc) Term.(const run $ config_arg $ dir_arg)
+  Cmd.v (Cmd.info "modgen" ~doc) Term.(const run $ any_config_arg $ dir_arg)
 
 let faults_cmd =
   let trials_arg =

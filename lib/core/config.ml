@@ -39,3 +39,20 @@ let name t =
   match t.mode with
   | Keys.Armv83 -> base
   | Keys.Compat -> base ^ ", v8.0-compatible"
+
+(* Every configuration the front ends can name, by CLI token. *)
+let named =
+  [
+    ("full", full);
+    ("backward", backward_only);
+    ("compat", compat);
+    ("none", none);
+    ("sp-only", { backward_only with scheme = Modifier.Sp_only });
+    ("parts", { backward_only with scheme = Modifier.Parts 0x7357L });
+    ("chained", { backward_only with scheme = Modifier.Chained });
+  ]
+
+let of_name s =
+  match List.assoc_opt s named with
+  | Some _ as found -> found
+  | None -> List.find_map (fun (_, c) -> if name c = s then Some c else None) named

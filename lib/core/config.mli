@@ -27,3 +27,8 @@ val none : t
 val compat : t
 
 val name : t -> string
+
+(** [of_name s] — the configuration a front end names [s]: a CLI token
+    ([full], [backward], [compat], [none], [sp-only], [parts],
+    [chained]) or a display name as {!name} prints it. *)
+val of_name : string -> t option

@@ -1,27 +1,6 @@
 module C = Camouflage
 module L = Snapshot.Log
 
-(* Every configuration the front ends can name. The CLI hands reports
-   the display name ([Config.name]); serve hands them the request
-   token — a recorded log may carry either, so resolve both. *)
-let known_configs =
-  [
-    ("full", C.Config.full);
-    ("backward", C.Config.backward_only);
-    ("compat", C.Config.compat);
-    ("none", C.Config.none);
-    ("sp-only", { C.Config.backward_only with C.Config.scheme = C.Modifier.Sp_only });
-    ("parts", { C.Config.backward_only with C.Config.scheme = C.Modifier.Parts 0x7357L });
-    ("chained", { C.Config.backward_only with C.Config.scheme = C.Modifier.Chained });
-  ]
-
-let config_of_name name =
-  match List.assoc_opt name known_configs with
-  | Some c -> Some c
-  | None ->
-      Option.map snd
-        (List.find_opt (fun (_, c) -> C.Config.name c = name) known_configs)
-
 let entry_of_trial ~fingerprint (t : Campaign.trial) =
   {
     L.e_index = t.Campaign.index;
@@ -35,33 +14,34 @@ let entry_of_trial ~fingerprint (t : Campaign.trial) =
   }
 
 let session_of_header ?tier (h : L.header) =
-  if h.L.h_kind <> "faults" then
-    Error (Printf.sprintf "cannot replay %S logs (only \"faults\")" h.L.h_kind)
-  else
-    match config_of_name h.L.h_config with
-    | None -> Error (Printf.sprintf "unknown config %S in log header" h.L.h_config)
-    | Some config ->
-        (* Telemetry is pure observation and the fingerprint excludes
-           it, so replay always runs telemetry-off. *)
-        let ses =
-          Campaign.create_session ~config ~cpus:h.L.h_cpus ~tasks:h.L.h_tasks
-            ~rounds:h.L.h_rounds ~quantum:h.L.h_quantum ?tier ~seed:h.L.h_seed
-            ()
-        in
-        let golden = Campaign.session_golden ses in
-        if golden.Campaign.g_makespan <> h.L.h_golden_makespan then
-          Error
-            (Printf.sprintf
-               "golden makespan diverges: recorded %Ld, replayed %Ld"
-               h.L.h_golden_makespan golden.Campaign.g_makespan)
-        else if Campaign.session_golden_fingerprint ses <> h.L.h_golden_fingerprint
-        then
-          Error
-            (Printf.sprintf
-               "golden state fingerprint diverges: recorded %s, replayed %s"
-               h.L.h_golden_fingerprint
-               (Campaign.session_golden_fingerprint ses))
-        else Ok ses
+  let ( let* ) = Result.bind in
+  let* () =
+    if h.L.h_kind = "faults" then Ok ()
+    else Error (Printf.sprintf "cannot replay %S logs (only \"faults\")" h.L.h_kind)
+  in
+  let* config =
+    Option.to_result
+      ~none:(Printf.sprintf "unknown config %S in log header" h.L.h_config)
+      (C.Config.of_name h.L.h_config)
+  in
+  let* () = Kernel.System.check_config config in
+  (* Telemetry is pure observation and the fingerprint excludes it, so
+     replay always runs telemetry-off. *)
+  let ses =
+    Campaign.create_session ~config ~cpus:h.L.h_cpus ~tasks:h.L.h_tasks
+      ~rounds:h.L.h_rounds ~quantum:h.L.h_quantum ?tier ~seed:h.L.h_seed ()
+  in
+  let golden = Campaign.session_golden ses in
+  if golden.Campaign.g_makespan <> h.L.h_golden_makespan then
+    Error
+      (Printf.sprintf "golden makespan diverges: recorded %Ld, replayed %Ld"
+         h.L.h_golden_makespan golden.Campaign.g_makespan)
+  else if Campaign.session_golden_fingerprint ses <> h.L.h_golden_fingerprint then
+    Error
+      (Printf.sprintf "golden state fingerprint diverges: recorded %s, replayed %s"
+         h.L.h_golden_fingerprint
+         (Campaign.session_golden_fingerprint ses))
+  else Ok ses
 
 type verdict = {
   v_index : int;

@@ -9,11 +9,6 @@
     was recorded. Any divergence (changed simulator, wrong binary,
     corrupted log) surfaces as a failed verdict, never a silent pass. *)
 
-(** Resolve a recorded config name: either a front-end token ([full],
-    [backward], [compat], [none], [sp-only], [parts], [chained]) or the
-    display name {!Camouflage.Config.name} produces for one of those. *)
-val config_of_name : string -> Camouflage.Config.t option
-
 (** The log entry a finished trial records. *)
 val entry_of_trial :
   fingerprint:string -> Campaign.trial -> Snapshot.Log.entry

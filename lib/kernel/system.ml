@@ -657,6 +657,53 @@ let restore_user_gprs t saved = Array.iteri (fun idx v -> Cpu.set_reg t.cpu (Ins
    stuck task, reprogramming the budget. *)
 let watchdog_backoff_cycles = 400
 
+(* What a stop of user code on the active core means for the loop that
+   drives the current task. *)
+type user_stop =
+  | Resume of int
+      (** a syscall was serviced (or an ERET completed): carry on; the
+          payload is the user instructions retired before the trap *)
+  | Budget  (** the instruction budget ran out *)
+  | Done of user_exit  (** the task is finished *)
+
+(* Run the active core's current task at EL0 for at most [budget]
+   instructions and map the stop. The user instructions before a trap
+   count against the caller's budget; the kernel-side work does not. *)
+let run_user_for t budget =
+  let insns_before = Cpu.insns_retired t.cpu in
+  match Cpu.run ~max_insns:budget t.cpu with
+  | Cpu.Insn_limit -> Budget
+  | Cpu.Svc nr when nr = Kbuild.sys_exit -> Done (Exited (Cpu.reg t.cpu (Insn.R 0)))
+  | Cpu.Svc nr -> (
+      let user_pc = Cpu.pc t.cpu in
+      let saved = save_user_gprs t in
+      let args =
+        [ Cpu.reg t.cpu (Insn.R 0); Cpu.reg t.cpu (Insn.R 1); Cpu.reg t.cpu (Insn.R 2) ]
+      in
+      let spent = Int64.to_int (Int64.sub (Cpu.insns_retired t.cpu) insns_before) in
+      match syscall_gen ~trap_charged:true t ~nr ~args with
+      | Ok result ->
+          restore_user_gprs t saved;
+          Cpu.set_reg t.cpu (Insn.R 0) result;
+          Cpu.set_el t.cpu El.El0;
+          Cpu.set_pc t.cpu user_pc;
+          Resume spent
+      | Killed m -> Done (User_killed m)
+      | Panicked m -> Done (User_panicked m))
+  | Cpu.Sentinel_return -> Done (Exited (Cpu.reg t.cpu (Insn.R 0)))
+  | Cpu.Hlt code -> Done (User_killed (Printf.sprintf "hlt #%d in user mode" code))
+  | Cpu.Brk code -> Done (User_killed (Printf.sprintf "brk #%d" code))
+  | Cpu.Fault { fault; pc } ->
+      logcpu t "segfault: pid %d %s at pc=0x%Lx" t.current.pid
+        (match fault with
+        | Cpu.Mmu_fault f -> Mmu.fault_to_string f
+        | Cpu.Undefined_instruction w -> Printf.sprintf "undefined insn 0x%08lx" w
+        | Cpu.Hyp_denied sr | Cpu.El_denied sr -> "denied access to " ^ Sysreg.name sr)
+        pc;
+      mark_dead t t.current;
+      Done (User_killed "SIGSEGV")
+  | Cpu.Eret_done -> Resume 0
+
 let run_user ?(max_insns = 10_000_000) ?(watchdog_retries = 2) t ~entry =
   (* entering EL0: the task's own keys must be live (R5) *)
   if Cpu.has_pauth t.cpu then restore_user_keys t;
@@ -667,39 +714,10 @@ let run_user ?(max_insns = 10_000_000) ?(watchdog_retries = 2) t ~entry =
   let budget = ref max_insns in
   let retries_used = ref 0 in
   let rec loop () =
-    match Cpu.run ~max_insns:!budget t.cpu with
-    | Cpu.Svc nr when nr = Kbuild.sys_exit -> Exited (Cpu.reg t.cpu (Insn.R 0))
-    | Cpu.Svc nr ->
-        let user_pc = Cpu.pc t.cpu in
-        let saved = save_user_gprs t in
-        let args =
-          [ Cpu.reg t.cpu (Insn.R 0); Cpu.reg t.cpu (Insn.R 1); Cpu.reg t.cpu (Insn.R 2) ]
-        in
-        let outcome = syscall_gen ~trap_charged:true t ~nr ~args in
-        let result = (match outcome with Ok v -> v | Killed _ | Panicked _ -> -1L) in
-        (match outcome with
-        | Ok _ ->
-            restore_user_gprs t saved;
-            Cpu.set_reg t.cpu (Insn.R 0) result;
-            Cpu.set_el t.cpu El.El0;
-            Cpu.set_pc t.cpu user_pc;
-            loop ()
-        | Killed m -> User_killed m
-        | Panicked m -> User_panicked m)
-    | Cpu.Sentinel_return -> Exited (Cpu.reg t.cpu (Insn.R 0))
-    | Cpu.Hlt code -> User_killed (Printf.sprintf "hlt #%d in user mode" code)
-    | Cpu.Brk code -> User_killed (Printf.sprintf "brk #%d" code)
-    | Cpu.Fault { fault; pc } ->
-        logf t "segfault: pid %d %s at pc=0x%Lx" t.current.pid
-          (match fault with
-          | Cpu.Mmu_fault f -> Mmu.fault_to_string f
-          | Cpu.Undefined_instruction w -> Printf.sprintf "undefined insn 0x%08lx" w
-          | Cpu.Hyp_denied sr | Cpu.El_denied sr -> "denied access to " ^ Sysreg.name sr)
-          pc;
-        mark_dead t t.current;
-        User_killed "SIGSEGV"
-    | Cpu.Eret_done -> loop ()
-    | Cpu.Insn_limit ->
+    match run_user_for t !budget with
+    | Resume _ -> loop ()
+    | Done e -> e
+    | Budget ->
         (* Watchdog: treat a blown instruction budget as a possibly
            transient stall — retry with a doubled budget and a charged
            backoff, a bounded number of times, before escalating. *)
@@ -812,170 +830,6 @@ let spawn_user_task t ~entry =
   Kmem.write64 t.cpu (Int64.add task.va (Int64.of_int (off_gpr 30))) Cpu.sentinel;
   task
 
-type sched_stats = {
-  exits : (int * user_exit) list;  (** pid, exit status *)
-  preemptions : int;
-  slices : int;
-}
-
-let run_scheduled ?(quantum = 2000) ?(max_slices = 10_000) ?(context_integrity = false)
-    t ~tasks:scheduled =
-  let runnable = Queue.create () in
-  List.iter (fun task -> Queue.add task runnable) scheduled;
-  let exits = ref [] in
-  let preemptions = ref 0 in
-  let slices = ref 0 in
-  let finish task status = exits := (task.pid, status) :: !exits in
-  let preempt_to task next =
-    (* timer IRQ: kernel entry, context switch, return to user *)
-    incr preemptions;
-    Cpu.charge t.cpu (Cpu.cost_profile t.cpu).Cost.exception_entry;
-    Cpu.charge t.cpu entry_overhead_cycles;
-    save_user_context t task;
-    if context_integrity && Cpu.has_pauth t.cpu then
-      Hashtbl.replace t.context_macs task.pid (context_mac t task);
-    match switch_to t next with
-    | Ok _ ->
-        Cpu.charge t.cpu exit_overhead_cycles;
-        Cpu.charge t.cpu (Cpu.cost_profile t.cpu).Cost.eret;
-        `Switched
-    | Killed m ->
-        (* the incoming task's switch frame failed authentication: kill
-           that task and keep the system running *)
-        logf t "scheduler: switch to pid %d failed (%s); killing it" next.pid m;
-        mark_dead t next;
-        `Victim_killed m
-    | Panicked m -> `Panic m
-  in
-  let rec drive () =
-    if Queue.is_empty runnable || !slices >= max_slices then ()
-    else begin
-      incr slices;
-      let task = Queue.pop runnable in
-      (* slice prologue runs in the kernel *)
-      Cpu.set_el t.cpu El.El1;
-      let switched =
-        if t.current.pid = task.pid then `Switched
-        else
-          match switch_to t task with
-          | Ok _ -> `Switched
-          | Killed m ->
-              logf t "scheduler: switch to pid %d failed (%s); killing it" task.pid m;
-              mark_dead t task;
-              `Victim_killed m
-          | Panicked m -> `Panic m
-      in
-      match switched with
-      | `Victim_killed m ->
-          finish task (User_killed m);
-          drive ()
-      | `Panic m ->
-          finish task (User_panicked m);
-          Queue.clear runnable
-      | `Switched ->
-      let context_ok =
-        if context_integrity && Cpu.has_pauth t.cpu then begin
-          match Hashtbl.find_opt t.context_macs task.pid with
-          | None -> true (* first slice: nothing saved yet *)
-          | Some golden ->
-              let ok = context_mac t task = golden in
-              if not ok then begin
-                logf t "context-integrity violation: pid %d saved state tampered"
-                  task.pid;
-                mark_dead t task;
-                finish task (User_killed "context integrity: SIGKILL")
-              end;
-              ok
-        end
-        else true
-      in
-      if not context_ok then drive ()
-      else begin
-      restore_user_context t task;
-      if Cpu.has_pauth t.cpu then begin
-        Cpu.set_reg t.cpu (Insn.R 0) task.va;
-        (match Cpu.call t.cpu t.xom.Xom.restore_addr with
-        | Cpu.Sentinel_return -> ()
-        | other -> failwith ("key restore: " ^ Cpu.stop_to_string other));
-        restore_user_context t task
-      end;
-      Cpu.set_el t.cpu El.El0;
-      run_slice task quantum
-      end
-    end
-  and run_slice task budget =
-    if budget <= 0 then begin
-      (* quantum expired: rotate *)
-      (match Queue.peek_opt runnable with
-      | Some next -> (
-          match preempt_to task next with
-          | `Switched -> Queue.add task runnable
-          | `Victim_killed m ->
-              (* the victim is still at the queue head: retire it *)
-              ignore (Queue.pop runnable);
-              finish next (User_killed m);
-              Queue.add task runnable
-          | `Panic m ->
-              finish task (User_panicked m);
-              Queue.clear runnable)
-      | None -> Queue.add task runnable);
-      drive ()
-    end
-    else begin
-      let insns_before = Cpu.insns_retired t.cpu in
-      let used () = Int64.to_int (Int64.sub (Cpu.insns_retired t.cpu) insns_before) in
-      match Cpu.run ~max_insns:budget t.cpu with
-      | Cpu.Insn_limit -> run_slice task 0
-      | Cpu.Svc nr when nr = Kbuild.sys_exit ->
-          finish task (Exited (Cpu.reg t.cpu (Insn.R 0)));
-          drive ()
-      | Cpu.Svc nr ->
-          let user_pc = Cpu.pc t.cpu in
-          let saved = save_user_gprs t in
-          let args =
-            [ Cpu.reg t.cpu (Insn.R 0); Cpu.reg t.cpu (Insn.R 1); Cpu.reg t.cpu (Insn.R 2) ]
-          in
-          let spent = used () in
-          (match syscall_gen ~trap_charged:true t ~nr ~args with
-          | Ok result ->
-              restore_user_gprs t saved;
-              Cpu.set_reg t.cpu (Insn.R 0) result;
-              Cpu.set_el t.cpu El.El0;
-              Cpu.set_pc t.cpu user_pc;
-              (* the user instructions before the trap consume quantum;
-                 the kernel-side work does not *)
-              run_slice task (budget - spent)
-          | Killed m ->
-              finish task (User_killed m);
-              drive ()
-          | Panicked m ->
-              finish task (User_panicked m);
-              Queue.clear runnable)
-      | Cpu.Sentinel_return ->
-          finish task (Exited (Cpu.reg t.cpu (Insn.R 0)));
-          drive ()
-      | Cpu.Hlt code ->
-          finish task (User_killed (Printf.sprintf "hlt #%d in user mode" code));
-          drive ()
-      | Cpu.Brk code ->
-          finish task (User_killed (Printf.sprintf "brk #%d" code));
-          drive ()
-      | Cpu.Fault { fault; pc } ->
-          logf t "segfault: pid %d %s at pc=0x%Lx" task.pid
-            (match fault with
-            | Cpu.Mmu_fault f -> Mmu.fault_to_string f
-            | Cpu.Undefined_instruction w -> Printf.sprintf "undefined insn 0x%08lx" w
-            | Cpu.Hyp_denied sr | Cpu.El_denied sr -> "denied access to " ^ Sysreg.name sr)
-            pc;
-          mark_dead t task;
-          finish task (User_killed "SIGSEGV");
-          drive ()
-      | Cpu.Eret_done -> run_slice task budget
-    end
-  in
-  drive ();
-  { exits = List.rev !exits; preemptions = !preemptions; slices = !slices }
-
 (* SMP scheduling: per-CPU round-robin run queues driven by a
    cycle-interleaved host loop. Each scheduling round visits the cores
    in order and runs one quantum on each, so simulated time advances in
@@ -998,7 +852,7 @@ type smp_stats = {
 }
 
 let run_smp ?(quantum = 2000) ?(max_slices = 50_000) ?(balance_interval = 8)
-    ?quarantine_after t ~tasks:scheduled =
+    ?quarantine_after ?(context_integrity = false) t ~tasks:scheduled =
   let n = Machine.cpus t.machine in
   let queues = Array.init n (fun _ -> Queue.create ()) in
   List.iteri (fun idx task -> Queue.add task queues.(idx mod n)) scheduled;
@@ -1013,6 +867,19 @@ let run_smp ?(quantum = 2000) ?(max_slices = 50_000) ?(balance_interval = 8)
   in
   Array.iteri (fun cid _ -> update_rq cid) queues;
   let finish cid task status = exits := (cid, task.pid, status) :: !exits in
+  let integrity = context_integrity && Cpu.has_pauth t.cpu in
+  (* X7: the saved context must still match the MAC taken when the task
+     was preempted (a task that never was has nothing to check) *)
+  let context_intact task =
+    (not integrity)
+    ||
+    match Hashtbl.find_opt t.context_macs task.pid with
+    | Some golden when context_mac t task <> golden ->
+        logcpu t "context-integrity violation: pid %d saved state tampered" task.pid;
+        mark_dead t task;
+        false
+    | Some _ | None -> true
+  in
   (* One quantum of task [task] on core [cid]. *)
   let run_one_slice cid task =
     with_core t cid (fun () ->
@@ -1020,24 +887,26 @@ let run_smp ?(quantum = 2000) ?(max_slices = 50_000) ?(balance_interval = 8)
         Cpu.set_el t.cpu El.El1;
         enter_kernel_context t;
         let switched =
-          if t.current.pid = task.pid then `Switched
+          if t.current.pid = task.pid then Ok 0L
           else
             match switch_to t task with
-            | Ok _ ->
+            | Ok _ as ok ->
                 Percpu.set_current t.cpu t.percpu.(cid).pc task.va;
-                `Switched
+                ok
             | Killed m ->
                 (* the incoming task's switch frame failed authentication:
                    kill that task, keep the core running *)
                 logcpu t "scheduler: switch to pid %d failed (%s); killing it" task.pid m;
                 mark_dead t task;
-                `Victim_killed m
-            | Panicked m -> `Panic m
+                Killed m
+            | Panicked _ as panic -> panic
         in
         match switched with
-        | `Victim_killed m -> `Done (User_killed m)
-        | `Panic m -> `Panic m
-        | `Switched ->
+        | Killed m -> `Done (User_killed m)
+        | Panicked m -> `Done (User_panicked m)
+        | Ok _ when not (context_intact task) ->
+            `Done (User_killed "context integrity: SIGKILL")
+        | Ok _ ->
         restore_user_context t task;
         if Cpu.has_pauth t.cpu then begin
           Cpu.set_reg t.cpu (Insn.R 0) task.va;
@@ -1052,58 +921,18 @@ let run_smp ?(quantum = 2000) ?(max_slices = 50_000) ?(balance_interval = 8)
           Cpu.charge t.cpu (Cpu.cost_profile t.cpu).Cost.exception_entry;
           Cpu.charge t.cpu entry_overhead_cycles;
           save_user_context t task;
+          if integrity then Hashtbl.replace t.context_macs task.pid (context_mac t task);
           Cpu.set_el t.cpu El.El1;
           enter_kernel_context t;
           `Preempted
         in
         let rec exec budget =
           if budget <= 0 then preempt ()
-          else begin
-            let insns_before = Cpu.insns_retired t.cpu in
-            let used () =
-              Int64.to_int (Int64.sub (Cpu.insns_retired t.cpu) insns_before)
-            in
-            match Cpu.run ~max_insns:budget t.cpu with
-            | Cpu.Insn_limit -> preempt ()
-            | Cpu.Svc nr when nr = Kbuild.sys_exit ->
-                `Done (Exited (Cpu.reg t.cpu (Insn.R 0)))
-            | Cpu.Svc nr ->
-                let user_pc = Cpu.pc t.cpu in
-                let saved = save_user_gprs t in
-                let args =
-                  [
-                    Cpu.reg t.cpu (Insn.R 0);
-                    Cpu.reg t.cpu (Insn.R 1);
-                    Cpu.reg t.cpu (Insn.R 2);
-                  ]
-                in
-                let spent = used () in
-                (match syscall_gen ~trap_charged:true t ~nr ~args with
-                | Ok result ->
-                    restore_user_gprs t saved;
-                    Cpu.set_reg t.cpu (Insn.R 0) result;
-                    Cpu.set_el t.cpu El.El0;
-                    Cpu.set_pc t.cpu user_pc;
-                    exec (budget - spent)
-                | Killed m -> `Done (User_killed m)
-                | Panicked m -> `Panic m)
-            | Cpu.Sentinel_return -> `Done (Exited (Cpu.reg t.cpu (Insn.R 0)))
-            | Cpu.Hlt code ->
-                `Done (User_killed (Printf.sprintf "hlt #%d in user mode" code))
-            | Cpu.Brk code -> `Done (User_killed (Printf.sprintf "brk #%d" code))
-            | Cpu.Fault { fault; pc } ->
-                logcpu t "segfault: pid %d %s at pc=0x%Lx" task.pid
-                  (match fault with
-                  | Cpu.Mmu_fault f -> Mmu.fault_to_string f
-                  | Cpu.Undefined_instruction w ->
-                      Printf.sprintf "undefined insn 0x%08lx" w
-                  | Cpu.Hyp_denied sr | Cpu.El_denied sr ->
-                      "denied access to " ^ Sysreg.name sr)
-                  pc;
-                mark_dead t task;
-                `Done (User_killed "SIGSEGV")
-            | Cpu.Eret_done -> exec budget
-          end
+          else
+            match run_user_for t budget with
+            | Resume spent -> exec (budget - spent)
+            | Budget -> preempt ()
+            | Done status -> `Done status
         in
         exec quantum)
   in
@@ -1206,8 +1035,7 @@ let run_smp ?(quantum = 2000) ?(max_slices = 50_000) ?(balance_interval = 8)
             | `Done status -> finish cid task status
             | `Preempted ->
                 incr preemptions;
-                Queue.add task queues.(cid)
-            | `Panic m -> finish cid task (User_panicked m));
+                Queue.add task queues.(cid));
             update_rq cid);
         quarantine_check cid
       end
@@ -1229,16 +1057,22 @@ let run_smp ?(quantum = 2000) ?(max_slices = 50_000) ?(balance_interval = 8)
 
 (* Boot. *)
 
-let boot ?(config = C.Config.full) ?(seed = 42L) ?(has_pauth = true)
-    ?(cost = Cost.cortex_a53) ?(cpus = 1) ?(telemetry = false) ?tier () =
-  (match config.C.Config.scheme with
+(* A chained return modifier is the live chain register, a run-time
+   value the host cannot reproduce when it prefabricates a switch
+   frame. *)
+let check_config (config : C.Config.t) =
+  match config.C.Config.scheme with
   | C.Modifier.Chained ->
-      failwith
-        "System.boot: the chained scheme cannot prefabricate switch frames and is \
-         evaluated as a microbenchmark ablation only (see bench a5)"
+      Error
+        "the chained scheme cannot prefabricate switch frames and is evaluated as a \
+         microbenchmark ablation only (see bench a5)"
   | C.Modifier.No_cfi | C.Modifier.Sp_only | C.Modifier.Parts _ | C.Modifier.Camouflage
     ->
-      ());
+      Ok ()
+
+let boot ?(config = C.Config.full) ?(seed = 42L) ?(has_pauth = true)
+    ?(cost = Cost.cortex_a53) ?(cpus = 1) ?(telemetry = false) ?tier () =
+  Result.iter_error (fun m -> failwith ("System.boot: " ^ m)) (check_config config);
   if cpus < 1 || cpus > 16 then invalid_arg "System.boot: cpus must be in 1..16";
   let cipher = Qarma.Block.create () in
   let machine =

@@ -44,11 +44,18 @@ type oops = {
 
 type t
 
+(** [check_config config] — [Error] with the reason when the kernel
+    cannot boot under [config]: the chained return scheme (ablation A5)
+    cannot prefabricate the switch frame of a fresh task. Front ends
+    call it to refuse such a configuration before booting. *)
+val check_config : Camouflage.Config.t -> (unit, string) result
+
 (** [boot ()] brings the system up: hypervisor lockdown, bootloader key
     generation into XOM, kernel image load (with static verification and
     static-pointer signing), and creation of the init task. [seed]
     drives every PRNG (kernel keys, user keys). Raises [Failure] if the
-    kernel image fails verification.
+    kernel image fails verification or {!check_config} refuses
+    [config].
 
     [cpus] (default 1, max 16) boots an SMP machine: all cores share
     memory, the two-stage MMU and the cipher, but keep private register
@@ -168,30 +175,6 @@ val spawn_user_task : t -> entry:int64 -> task
 (** [user_stack_top_of task] — the task's private user stack top. *)
 val user_stack_top_of : task -> int64
 
-type sched_stats = {
-  exits : (int * user_exit) list;  (** pid, exit status, in completion order *)
-  preemptions : int;  (** timer-IRQ context switches *)
-  slices : int;
-}
-
-(** [run_scheduled t ~tasks] — preemptive round-robin over user tasks:
-    each runs for [quantum] instructions, then a timer-IRQ kernel entry
-    switches to the next runnable task via [cpu_switch_to]. The user
-    instructions executed before an inline syscall count against the
-    quantum; the kernel-side work does not.
-
-    [context_integrity] enables the register-spill protection the paper
-    leaves as future work (Section 8): a chained PACGA MAC is taken over
-    the saved user context at preemption and verified before resumption;
-    a tampered context kills the task instead of resuming it. *)
-val run_scheduled :
-  ?quantum:int ->
-  ?max_slices:int ->
-  ?context_integrity:bool ->
-  t ->
-  tasks:task list ->
-  sched_stats
-
 type smp_stats = {
   smp_exits : (int * int * user_exit) list;
       (** cpu, pid, exit status, in completion order *)
@@ -218,12 +201,20 @@ type smp_stats = {
     that many PAC authentication failures is taken offline — it stops
     scheduling and its run queue migrates to the remaining online cores
     (the last online core is never quarantined). Offlined cores are
-    reported in [smp_offlined]. Disabled by default. *)
+    reported in [smp_offlined]. Disabled by default.
+
+    [context_integrity] enables the register-spill protection the paper
+    leaves as future work (Section 8): a chained PACGA MAC is taken over
+    a task's saved user context when it is preempted and verified after
+    the switch back to it, before the context is restored; a tampered
+    context kills the task instead of resuming it. Off by default, and
+    inert on a PAuth-less part. *)
 val run_smp :
   ?quantum:int ->
   ?max_slices:int ->
   ?balance_interval:int ->
   ?quarantine_after:int ->
+  ?context_integrity:bool ->
   t ->
   tasks:task list ->
   smp_stats

@@ -19,7 +19,7 @@ type header = {
   h_seed : int64;
   h_trials : int;
   h_config : string;  (** config name as the front end spelled it;
-                          resolved back by [Faultinj.Replay.config_of_name] *)
+                          resolved back by [Camouflage.Config.of_name] *)
   h_cpus : int;
   h_tasks : int;
   h_rounds : int;

@@ -5,8 +5,9 @@
 module C = Camouflage
 module K = Kernel
 
-let boot ?(config = C.Config.full) ?(threshold = 1000) () =
-  K.System.boot ~config:{ config with C.Config.bruteforce_threshold = threshold } ~seed:55L ()
+let boot ?(config = C.Config.full) ?(threshold = 1000) ?(cpus = 1) () =
+  K.System.boot ~config:{ config with C.Config.bruteforce_threshold = threshold } ~seed:55L
+    ~cpus ()
 
 let test_primitives () =
   let sys = boot () in
@@ -164,16 +165,22 @@ let suite =
 
 let test_context_tamper_matrix () =
   (* register-spill attack (Section 8): saved-PC rewrite of a preempted
-     task diverts control without the X7 MAC, is detected with it *)
-  (match Attacks.Context_tamper.run (boot ()) ~protect:false with
-  | Attacks.Context_tamper.Diverted { exit_code } ->
-      Alcotest.(check int64) "landed in evil" 0x666L exit_code
-  | other ->
-      Alcotest.failf "unprotected: %s" (Attacks.Context_tamper.outcome_to_string other));
-  match Attacks.Context_tamper.run (boot ()) ~protect:true with
-  | Attacks.Context_tamper.Detected -> ()
-  | other ->
-      Alcotest.failf "protected: %s" (Attacks.Context_tamper.outcome_to_string other)
+     task diverts control without the X7 MAC, is detected with it — on
+     one core and on two *)
+  List.iter
+    (fun cpus ->
+      (match Attacks.Context_tamper.run (boot ~cpus ()) ~protect:false with
+      | Attacks.Context_tamper.Diverted { exit_code } ->
+          Alcotest.(check int64) "landed in evil" 0x666L exit_code
+      | other ->
+          Alcotest.failf "%d cpus, unprotected: %s" cpus
+            (Attacks.Context_tamper.outcome_to_string other));
+      match Attacks.Context_tamper.run (boot ~cpus ()) ~protect:true with
+      | Attacks.Context_tamper.Detected -> ()
+      | other ->
+          Alcotest.failf "%d cpus, protected: %s" cpus
+            (Attacks.Context_tamper.outcome_to_string other))
+    [ 1; 2 ]
 
 let suite =
   suite

@@ -312,6 +312,19 @@ let test_serve_round_trip () =
     (str_of report "campaign");
   (* the served report carries the same trial outcomes as a direct run *)
   Alcotest.(check (option int)) "served trials" (Some 4) (int_of report "trials");
+  (* every CLI token is a serve token too *)
+  let sub =
+    request srv
+      {|{"req": "submit", "kind": "faults", "config": "sp-only", "seed": 5, "trials": 4}|}
+  in
+  Alcotest.(check bool) "sp-only submit accepted" true (is_ok sub);
+  let id = Option.get (int_of sub "id") in
+  let state, _ = poll srv id ~until:[ "done"; "failed" ] in
+  Alcotest.(check string) "sp-only campaign completes" "done" state;
+  let rep = request srv {|{"req": "report", "id": %d}|} id in
+  let report = Option.get (Json.member "report" rep) in
+  Alcotest.(check (option string)) "sp-only report names its config" (Some "sp-only")
+    (str_of report "config");
   F.Serve.drain srv
 
 let test_serve_metrics () =
@@ -403,6 +416,52 @@ let test_serve_cancel_and_shutdown () =
     (str_of (parse_ok bye) "reply");
   F.Serve.drain srv
 
+(* The chained scheme cannot boot a kernel: the boot check, serve and
+   replay all refuse it with the same reason instead of raising. *)
+let test_chained_refused () =
+  let config name = Option.get (Camouflage.Config.of_name name) in
+  let reason =
+    match Kernel.System.check_config (config "chained") with
+    | Error m -> m
+    | Ok () -> Alcotest.fail "chained passed the boot check"
+  in
+  List.iter
+    (fun name ->
+      Alcotest.(check bool) (name ^ " boots") true
+        (Result.is_ok (Kernel.System.check_config (config name))))
+    [ "full"; "backward"; "compat"; "none"; "sp-only"; "parts" ];
+  (match Kernel.System.boot ~config:(config "chained") () with
+  | _ -> Alcotest.fail "chained booted"
+  | exception Failure m ->
+      Alcotest.(check string) "boot fails with the reason" ("System.boot: " ^ reason) m);
+  let srv = F.Serve.create () in
+  List.iter
+    (fun kind ->
+      let v = request srv {|{"req": "submit", "kind": "%s", "config": "chained"}|} kind in
+      Alcotest.(check bool) (kind ^ ": rejected") false (is_ok v);
+      Alcotest.(check (option string)) (kind ^ ": reason") (Some reason) (str_of v "error"))
+    [ "faults"; "bruteforce" ];
+  Alcotest.(check bool) "server survives" true (is_ok (request srv {|{"req": "ping"}|}));
+  F.Serve.drain srv;
+  let header =
+    {
+      Snapshot.Log.h_kind = "faults";
+      h_seed = 7L;
+      h_trials = 1;
+      h_config = "chained";
+      h_cpus = 2;
+      h_tasks = 4;
+      h_rounds = 8;
+      h_quantum = 400;
+      h_quarantine_after = None;
+      h_golden_makespan = 0L;
+      h_golden_fingerprint = "";
+    }
+  in
+  match Faultinj.Replay.session_of_header header with
+  | Error m -> Alcotest.(check string) "replay refuses the log" reason m
+  | Ok _ -> Alcotest.fail "replay booted a chained session"
+
 let suite =
   [
     Alcotest.test_case "deque: owner LIFO, thief FIFO" `Quick
@@ -441,4 +500,6 @@ let suite =
       test_serve_rejects_malformed;
     Alcotest.test_case "serve: cancel and shutdown" `Quick
       test_serve_cancel_and_shutdown;
+    Alcotest.test_case "chained config refused before boot" `Quick
+      test_chained_refused;
   ]

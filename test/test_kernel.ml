@@ -393,11 +393,11 @@ let test_scheduler_runs_all_tasks () =
       let layout = K.System.map_user_program sys (counting_program ~rounds:40) in
       let entry = Asm.symbol layout "counter" in
       let tasks = List.init 3 (fun _ -> K.System.spawn_user_task sys ~entry) in
-      let stats = K.System.run_scheduled ~quantum:60 sys ~tasks in
+      let stats = K.System.run_smp ~quantum:60 sys ~tasks in
       Alcotest.(check int) (name ^ ": all exited") 3
-        (List.length stats.K.System.exits);
+        (List.length stats.K.System.smp_exits);
       List.iter
-        (fun (pid, exit) ->
+        (fun (_, pid, exit) ->
           match exit with
           | K.System.Exited v ->
               Alcotest.(check int64) (Printf.sprintf "%s: pid %d counted" name pid) 40L v
@@ -405,9 +405,9 @@ let test_scheduler_runs_all_tasks () =
               Alcotest.failf "%s: pid %d died: %s" name pid m
           | K.System.Watchdog_expired _ as e ->
               Alcotest.failf "%s: pid %d: %s" name pid (K.System.user_exit_to_string e))
-        stats.K.System.exits;
+        stats.K.System.smp_exits;
       Alcotest.(check bool) (name ^ ": preempted at least once") true
-        (stats.K.System.preemptions > 0))
+        (stats.K.System.smp_preemptions > 0))
     configs
 
 let test_scheduler_isolates_crashes () =
@@ -424,13 +424,16 @@ let test_scheduler_isolates_crashes () =
   let layout = K.System.map_user_program sys prog in
   let t1 = K.System.spawn_user_task sys ~entry:(Asm.symbol layout "crasher") in
   let t2 = K.System.spawn_user_task sys ~entry:(Asm.symbol layout "good") in
-  let stats = K.System.run_scheduled ~quantum:50 sys ~tasks:[ t1; t2 ] in
-  let lookup pid = List.assoc pid stats.K.System.exits in
+  let stats = K.System.run_smp ~quantum:50 sys ~tasks:[ t1; t2 ] in
+  let lookup pid =
+    List.find_map (fun (_, p, e) -> if p = pid then Some e else None)
+      stats.K.System.smp_exits
+  in
   (match lookup t1.K.System.pid with
-  | K.System.User_killed "SIGSEGV" -> ()
+  | Some (K.System.User_killed "SIGSEGV") -> ()
   | _ -> Alcotest.fail "crasher should segfault");
   match lookup t2.K.System.pid with
-  | K.System.Exited 7L -> ()
+  | Some (K.System.Exited 7L) -> ()
   | _ -> Alcotest.fail "good task should survive the crash of its sibling"
 
 let suite =

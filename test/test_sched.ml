@@ -1,4 +1,4 @@
-(* run_scheduled edge cases: the context-integrity tamper-kill path
+(* Scheduler edge cases: the context-integrity tamper-kill path
    (X7), slice/preemption accounting at the degenerate quantum of one
    instruction, and determinism of the whole scheduler. *)
 
@@ -19,28 +19,33 @@ let spin_program ~iters ~code =
     ];
   prog
 
-let boot_spin ~iters ~code =
-  let sys = K.System.boot ~seed:21L () in
+let boot_spin ?(cpus = 1) ~iters ~code () =
+  let sys = K.System.boot ~seed:21L ~cpus () in
   let layout = K.System.map_user_program sys (spin_program ~iters ~code) in
   (sys, Asm.symbol layout "spin")
 
+(* Exit status per pid, in completion order. *)
+let exits stats = List.map (fun (_, pid, e) -> (pid, e)) stats.K.System.smp_exits
+
 (* X7: a preempted task's saved context is MAC'd; tampering with the
    saved registers between slices kills the task instead of resuming
-   it. The untampered sibling run resumes and exits normally. *)
+   it. The untampered sibling run resumes and exits normally. On two
+   cores each task stays current on its own core, so the check also
+   runs when no switch is needed. *)
 let test_context_integrity_tamper_kill () =
-  let run ~tamper =
-    let sys, entry = boot_spin ~iters:4000 ~code:9 in
+  let run ~cpus ~tamper =
+    let sys, entry = boot_spin ~cpus ~iters:4000 ~code:9 () in
     let victim = K.System.spawn_user_task sys ~entry in
     let companion = K.System.spawn_user_task sys ~entry in
     (* two short slices: each task is preempted once and its context
        saved (and MAC'd) in its task structure *)
     let first =
-      K.System.run_scheduled ~quantum:50 ~max_slices:2 ~context_integrity:true sys
+      K.System.run_smp ~quantum:50 ~max_slices:2 ~context_integrity:true sys
         ~tasks:[ victim; companion ]
     in
     Alcotest.(check int) "still running after two slices" 0
-      (List.length first.K.System.exits);
-    Alcotest.(check int) "both tasks preempted once" 2 first.K.System.preemptions;
+      (List.length first.K.System.smp_exits);
+    Alcotest.(check int) "both tasks preempted once" 2 first.K.System.smp_preemptions;
     if tamper then
       (* corrupt a saved callee register in the victim's task structure *)
       K.Kmem.write64 (K.System.cpu sys)
@@ -48,54 +53,60 @@ let test_context_integrity_tamper_kill () =
            (Int64.of_int (K.Kobject.Task.off_gprs + (8 * 20))))
         0xbad00000L;
     let stats =
-      K.System.run_scheduled ~quantum:100_000 ~context_integrity:true sys
+      K.System.run_smp ~quantum:100_000 ~context_integrity:true sys
         ~tasks:[ victim; companion ]
     in
-    (List.assoc victim.K.System.pid stats.K.System.exits,
-     List.assoc companion.K.System.pid stats.K.System.exits)
+    (List.assoc victim.K.System.pid (exits stats),
+     List.assoc companion.K.System.pid (exits stats))
   in
-  (match run ~tamper:true with
-  | K.System.User_killed m, K.System.Exited 9L ->
-      Alcotest.(check bool) "killed for context integrity" true
-        (String.length m >= 17 && String.sub m 0 17 = "context integrity")
-  | _ -> Alcotest.fail "tampered victim should be killed, companion should exit");
-  match run ~tamper:false with
-  | K.System.Exited 9L, K.System.Exited 9L -> ()
-  | _ -> Alcotest.fail "untampered resumes should both exit with code 9"
+  List.iter
+    (fun cpus ->
+      (match run ~cpus ~tamper:true with
+      | K.System.User_killed m, K.System.Exited 9L ->
+          Alcotest.(check bool) "killed for context integrity" true
+            (String.length m >= 17 && String.sub m 0 17 = "context integrity")
+      | _ ->
+          Alcotest.failf "%d cpus: tampered victim should be killed, companion should exit"
+            cpus);
+      match run ~cpus ~tamper:false with
+      | K.System.Exited 9L, K.System.Exited 9L -> ()
+      | _ -> Alcotest.failf "%d cpus: untampered resumes should both exit with code 9" cpus)
+    [ 1; 2 ]
 
 (* Quantum of one instruction: every slice retires one user instruction
    and then preempts, so preemptions = slices - exits, and the tasks
    still run to completion. *)
 let test_quantum_one_accounting () =
-  let sys, entry = boot_spin ~iters:10 ~code:5 in
+  let sys, entry = boot_spin ~iters:10 ~code:5 () in
   let tasks = List.init 2 (fun _ -> K.System.spawn_user_task sys ~entry) in
-  let stats = K.System.run_scheduled ~quantum:1 ~max_slices:2000 sys ~tasks in
-  Alcotest.(check int) "both exited" 2 (List.length stats.K.System.exits);
+  let stats = K.System.run_smp ~quantum:1 ~max_slices:2000 sys ~tasks in
+  Alcotest.(check int) "both exited" 2 (List.length stats.K.System.smp_exits);
   List.iter
     (fun (pid, e) ->
       match e with
       | K.System.Exited 5L -> ()
       | _ -> Alcotest.failf "pid %d: unexpected exit" pid)
-    stats.K.System.exits;
+    (exits stats);
   Alcotest.(check int) "every non-final slice preempts"
-    (stats.K.System.slices - 2)
-    stats.K.System.preemptions;
+    (stats.K.System.smp_slices - 2)
+    stats.K.System.smp_preemptions;
   Alcotest.(check bool) "interleaving actually happened" true
-    (stats.K.System.slices > 20)
+    (stats.K.System.smp_slices > 20)
 
 let sched_fingerprint () =
-  let sys, entry = boot_spin ~iters:600 ~code:3 in
+  let sys, entry = boot_spin ~iters:600 ~code:3 () in
   let tasks = List.init 3 (fun _ -> K.System.spawn_user_task sys ~entry) in
-  let stats = K.System.run_scheduled ~quantum:150 sys ~tasks in
+  let stats = K.System.run_smp ~quantum:150 sys ~tasks in
   (stats, Cpu.cycles (K.System.cpu sys))
 
 let test_scheduler_deterministic () =
   let a, ca = sched_fingerprint () in
   let b, cb = sched_fingerprint () in
-  Alcotest.(check bool) "identical exits" true (a.K.System.exits = b.K.System.exits);
-  Alcotest.(check int) "identical slices" a.K.System.slices b.K.System.slices;
-  Alcotest.(check int) "identical preemptions" a.K.System.preemptions
-    b.K.System.preemptions;
+  Alcotest.(check bool) "identical exits" true
+    (a.K.System.smp_exits = b.K.System.smp_exits);
+  Alcotest.(check int) "identical slices" a.K.System.smp_slices b.K.System.smp_slices;
+  Alcotest.(check int) "identical preemptions" a.K.System.smp_preemptions
+    b.K.System.smp_preemptions;
   Alcotest.(check int64) "identical cycle totals" ca cb
 
 let suite =

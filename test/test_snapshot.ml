@@ -228,15 +228,17 @@ let test_replay_detects_divergence () =
 let test_replay_config_names () =
   List.iter
     (fun name ->
-      match Faultinj.Replay.config_of_name name with
-      | Some _ -> ()
+      match C.Config.of_name name with
+      | Some c ->
+          (* the CLI records display names; they resolve to the same configs *)
+          Alcotest.(check bool) (name ^ ": display name round-trips") true
+            (C.Config.of_name (C.Config.name c) = Some c)
       | None -> Alcotest.fail ("token not resolved: " ^ name))
     [ "full"; "backward"; "compat"; "none"; "sp-only"; "parts"; "chained" ];
-  (* the CLI records display names; they resolve to the same configs *)
-  (match Faultinj.Replay.config_of_name (C.Config.name C.Config.full) with
+  (match C.Config.of_name (C.Config.name C.Config.full) with
   | Some c -> Alcotest.(check bool) "display name round-trips" true (c = C.Config.full)
   | None -> Alcotest.fail "display name not resolved");
-  match Faultinj.Replay.config_of_name "no-such-config" with
+  match C.Config.of_name "no-such-config" with
   | None -> ()
   | Some _ -> Alcotest.fail "junk config name resolved"
 
